@@ -211,57 +211,34 @@ const (
 	FieldLocalMemoryOptFactor      = "LocalMemoryOptFactor"
 )
 
-// knobValue reads the field from a driver profile, as a float64 (seconds for
-// durations).
-func knobValue(d *hw.DriverProfile, field string) (float64, error) {
-	switch field {
-	case FieldKernelLaunchOverhead:
-		return d.KernelLaunchOverhead.Seconds(), nil
-	case FieldSyncLatency:
-		return d.SyncLatency.Seconds(), nil
-	case FieldCompilerEfficiency:
-		return d.CompilerEfficiency, nil
-	case FieldMemoryEfficiency:
-		return d.MemoryEfficiency, nil
-	case FieldScatteredMemoryEfficiency:
-		return d.ScatteredMemoryEfficiency, nil
-	case FieldLocalMemoryOptFactor:
-		return d.LocalMemoryOptFactor, nil
-	default:
-		return 0, fmt.Errorf("calibrate: unknown knob field %q", field)
+// knobField resolves a swept field name to its internal/hw declaration. Only
+// the timing fields with a wire name (durations and efficiencies) can be
+// swept: every candidate replays the snapshots the baseline recorded, which
+// a structural change would invalidate.
+func knobField(name string) (hw.Field, error) {
+	f, ok := hw.LookupDriverField(name)
+	if !ok || f.Kind != hw.Timing || f.Key == "" {
+		return hw.Field{}, fmt.Errorf("calibrate: unknown knob field %q", name)
 	}
+	return f, nil
 }
 
-// setKnobValue writes the field into a driver profile.
-func setKnobValue(d *hw.DriverProfile, field string, v float64) error {
-	switch field {
-	case FieldKernelLaunchOverhead:
-		d.KernelLaunchOverhead = time.Duration(v * float64(time.Second))
-	case FieldSyncLatency:
-		d.SyncLatency = time.Duration(v * float64(time.Second))
-	case FieldCompilerEfficiency:
-		d.CompilerEfficiency = v
-	case FieldMemoryEfficiency:
-		d.MemoryEfficiency = v
-	case FieldScatteredMemoryEfficiency:
-		d.ScatteredMemoryEfficiency = v
-	case FieldLocalMemoryOptFactor:
-		d.LocalMemoryOptFactor = v
-	default:
-		return fmt.Errorf("calibrate: unknown knob field %q", field)
+// fieldValue reads the field from a driver profile, as a float64 (seconds
+// for durations).
+func fieldValue(f hw.Field, d *hw.DriverProfile) float64 {
+	if f.IsDuration() {
+		return f.Duration(d).Seconds()
 	}
-	return nil
+	return f.Float(d)
 }
 
-// efficiencyField reports whether the field is a (0, 1]-bounded efficiency
-// rather than a duration.
-func efficiencyField(field string) bool {
-	switch field {
-	case FieldCompilerEfficiency, FieldMemoryEfficiency,
-		FieldScatteredMemoryEfficiency, FieldLocalMemoryOptFactor:
-		return true
+// setFieldValue writes a fieldValue-scaled value into a driver profile.
+func setFieldValue(f hw.Field, d *hw.DriverProfile, v float64) {
+	if f.IsDuration() {
+		f.SetDuration(d, time.Duration(v*float64(time.Second)))
+		return
 	}
-	return false
+	f.SetFloat(d, v)
 }
 
 // acceptanceEpsilon is the sweep's strict-improvement margin (see betterThan
@@ -276,7 +253,7 @@ func acceptanceEpsilon(x float64) float64 { return 1e-12 + 1e-9*math.Abs(x) }
 // are excluded — a clamped step that lands (numerically) back on the current
 // value would re-measure the incumbent profile and can never be accepted —
 // and the surviving candidates are deduplicated with the same epsilon.
-func candidateValues(field string, current float64) []float64 {
+func candidateValues(f hw.Field, current float64) []float64 {
 	if current <= 0 {
 		return nil
 	}
@@ -284,7 +261,7 @@ func candidateValues(field string, current float64) []float64 {
 	var out []float64
 	for _, m := range muls {
 		v := current * m
-		if efficiencyField(field) {
+		if !f.IsDuration() { // (0, 1]-bounded efficiency
 			if v > 1 {
 				v = 1 // several steps can clamp here; deduped below
 			}
@@ -343,16 +320,4 @@ func DefaultKnobs(p *platforms.Platform) []Knob {
 		}
 	}
 	return knobs
-}
-
-// ClonePlatform deep-copies a platform so candidate profiles never mutate the
-// canonical definitions in internal/platforms.
-func ClonePlatform(p *platforms.Platform) *platforms.Platform {
-	cp := *p
-	cp.Profile.Drivers = make(map[hw.API]hw.DriverProfile, len(p.Profile.Drivers))
-	for api, drv := range p.Profile.Drivers {
-		cp.Profile.Drivers[api] = drv
-	}
-	cp.Quirks = append([]platforms.Quirk(nil), p.Quirks...)
-	return &cp
 }

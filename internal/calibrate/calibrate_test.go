@@ -168,59 +168,44 @@ func TestDefaultKnobs(t *testing.T) {
 	}
 }
 
+// mustKnobField resolves a sweepable field or fails the test.
+func mustKnobField(t *testing.T, name string) hw.Field {
+	t.Helper()
+	f, err := knobField(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // TestKnobRoundTrip checks every field reads back what was set, in both the
-// duration and efficiency representations.
+// duration and efficiency representations, and that only the declared
+// sweepable (timing, overridable) fields resolve.
 func TestKnobRoundTrip(t *testing.T) {
 	fields := []string{
 		FieldKernelLaunchOverhead, FieldSyncLatency, FieldCompilerEfficiency,
 		FieldMemoryEfficiency, FieldScatteredMemoryEfficiency, FieldLocalMemoryOptFactor,
 	}
 	var d hw.DriverProfile
-	for i, f := range fields {
+	for i, name := range fields {
+		f := mustKnobField(t, name)
 		want := 0.1 * float64(i+1)
-		if err := setKnobValue(&d, f, want); err != nil {
-			t.Fatal(err)
-		}
-		got, err := knobValue(&d, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-want) > 1e-12 {
-			t.Fatalf("%s round trip: set %g got %g", f, want, got)
+		setFieldValue(f, &d, want)
+		if got := fieldValue(f, &d); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("%s round trip: set %g got %g", name, want, got)
 		}
 	}
-	if _, err := knobValue(&d, "NoSuchField"); err == nil {
-		t.Fatal("knobValue accepted an unknown field")
-	}
-	if err := setKnobValue(&d, "NoSuchField", 1); err == nil {
-		t.Fatal("setKnobValue accepted an unknown field")
-	}
-}
-
-// TestClonePlatform checks the clone shares nothing mutable with the
-// original.
-func TestClonePlatform(t *testing.T) {
-	p := platforms.Adreno506()
-	c := ClonePlatform(p)
-	drv := c.Profile.Drivers[hw.APIOpenCL]
-	drv.SyncLatency = 123 * time.Microsecond
-	c.Profile.Drivers[hw.APIOpenCL] = drv
-	if p.Profile.Drivers[hw.APIOpenCL].SyncLatency == 123*time.Microsecond {
-		t.Fatal("clone shares the driver map with the original")
-	}
-	if len(c.Quirks) != len(p.Quirks) {
-		t.Fatalf("clone lost quirks: %d vs %d", len(c.Quirks), len(p.Quirks))
-	}
-	c.Quirks[0].Benchmark = "mutated"
-	if p.Quirks[0].Benchmark == "mutated" {
-		t.Fatal("clone shares the quirk slice with the original")
+	for _, name := range []string{"NoSuchField", "MaxPushConstantBytes", "PushConstantsAsBuffers", "LocalMemoryAutoOpt", "Version"} {
+		if _, err := knobField(name); err == nil {
+			t.Errorf("knobField accepted %s", name)
+		}
 	}
 }
 
 // TestCandidateValues checks the grid is deterministic, excludes the
 // incumbent and clamps efficiencies into (0, 1].
 func TestCandidateValues(t *testing.T) {
-	vals := candidateValues(FieldSyncLatency, 10e-6)
+	vals := candidateValues(mustKnobField(t, FieldSyncLatency), 10e-6)
 	if len(vals) != 4 {
 		t.Fatalf("duration grid has %d candidates, want 4", len(vals))
 	}
@@ -229,7 +214,7 @@ func TestCandidateValues(t *testing.T) {
 			t.Fatalf("grid not ascending: %v", vals)
 		}
 	}
-	for _, v := range candidateValues(FieldMemoryEfficiency, 0.95) {
+	for _, v := range candidateValues(mustKnobField(t, FieldMemoryEfficiency), 0.95) {
 		if v <= 0 || v > 1 {
 			t.Fatalf("efficiency candidate %g out of (0,1]", v)
 		}
@@ -237,12 +222,12 @@ func TestCandidateValues(t *testing.T) {
 			t.Fatal("incumbent value in candidate grid")
 		}
 	}
-	if vals := candidateValues(FieldSyncLatency, 0); vals != nil {
+	if vals := candidateValues(mustKnobField(t, FieldSyncLatency), 0); vals != nil {
 		t.Fatalf("zero-valued knob produced candidates %v", vals)
 	}
 	// High efficiencies clamp several multiplicative steps to 1; the grid
 	// must dedupe them, since each candidate costs a full figure run.
-	high := candidateValues(FieldCompilerEfficiency, 0.92)
+	high := candidateValues(mustKnobField(t, FieldCompilerEfficiency), 0.92)
 	ones := 0
 	for _, v := range high {
 		if v == 1 {

@@ -44,7 +44,7 @@ type Change struct {
 }
 
 func (c Change) String() string {
-	if efficiencyField(c.Field) {
+	if f, err := knobField(c.Field); err == nil && !f.IsDuration() {
 		return fmt.Sprintf("%s %s: %.3f -> %.3f", c.API, c.Field, c.From, c.To)
 	}
 	from := time.Duration(c.From * float64(time.Second))
@@ -134,7 +134,7 @@ func Sweep(p *platforms.Platform, opts Options) (*SweepResult, error) {
 		knobs = DefaultKnobs(p)
 	}
 
-	cur := ClonePlatform(p)
+	cur := p.Clone()
 	res := &SweepResult{Platform: p.ID, Proposed: cur}
 	best, err := eval(cur)
 	if err != nil {
@@ -158,16 +158,15 @@ func Sweep(p *platforms.Platform, opts Options) (*SweepResult, error) {
 			if !ok || !drv.Supported {
 				continue
 			}
-			current, err := knobValue(&drv, k.Field)
+			f, err := knobField(k.Field)
 			if err != nil {
 				return nil, err
 			}
-			for _, v := range candidateValues(k.Field, current) {
-				cand := ClonePlatform(cur)
+			current := fieldValue(f, &drv)
+			for _, v := range candidateValues(f, current) {
+				cand := cur.Clone()
 				cdrv := cand.Profile.Drivers[k.API]
-				if err := setKnobValue(&cdrv, k.Field, v); err != nil {
-					return nil, err
-				}
+				setFieldValue(f, &cdrv, v)
 				cand.Profile.Drivers[k.API] = cdrv
 				if err := cand.Profile.Validate(); err != nil {
 					continue // out-of-range candidate (e.g. factor > 1)

@@ -363,64 +363,78 @@ func (s *DiskStore) GC() (removed int, reclaimed int64, err error) {
 	return removed, reclaimed, nil
 }
 
-// TieredStore composes the in-memory LRU cache over a persistent disk store:
-// Get tries memory first, falls back to disk and promotes disk hits into
-// memory; Put writes through to both. The suite scheduler's workers share one
-// instance. A top-level miss (both tiers missed) means the runner pays for
-// execution, so Stats().Executions counts exactly the cells that executed.
+// TieredStore composes the in-memory LRU cache over a lower tier — the
+// persistent DiskStore, or a decorator around it (serve's circuit breaker):
+// Get tries memory first, falls back to the lower tier and promotes its hits
+// into memory; Put writes through to both. The suite scheduler's workers
+// share one instance. TieredStore counts its own top-level traffic: a miss
+// (both tiers missed) means the runner pays for execution, so
+// Stats().Executions counts exactly the cells that executed, whatever the
+// lower tier does with a read.
 type TieredStore struct {
-	mem  *SnapshotCache
-	disk *DiskStore
+	mem   *SnapshotCache
+	lower SnapshotStore
+
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
-// NewTieredStore composes mem over disk. A nil mem gets a default-sized
-// cache; disk must be non-nil (use the SnapshotCache alone for memory-only
+// NewTieredStore composes mem over lower. A nil mem gets a default-sized
+// cache; lower must be non-nil (use the SnapshotCache alone for memory-only
 // operation).
-func NewTieredStore(mem *SnapshotCache, disk *DiskStore) *TieredStore {
+func NewTieredStore(mem *SnapshotCache, lower SnapshotStore) *TieredStore {
 	if mem == nil {
 		mem = NewSnapshotCache(0)
 	}
-	return &TieredStore{mem: mem, disk: disk}
+	return &TieredStore{mem: mem, lower: lower}
 }
 
-// Get returns the snapshot from the fastest tier that has it, promoting disk
-// hits into memory so repeated lookups stay off the filesystem.
+// Get returns the snapshot from the fastest tier that has it, promoting
+// lower-tier hits into memory so repeated lookups stay off the filesystem.
 func (t *TieredStore) Get(k SnapshotKey) (*Snapshot, bool) {
-	if snap, ok := t.mem.Get(k); ok {
-		return snap, true
-	}
-	snap, ok := t.disk.Get(k)
+	snap, ok := t.mem.Get(k)
 	if !ok {
+		if snap, ok = t.lower.Get(k); ok {
+			t.mem.Put(k, snap)
+		}
+	}
+	if !ok {
+		t.misses.Add(1)
 		return nil, false
 	}
-	t.mem.Put(k, snap)
+	t.hits.Add(1)
 	return snap, true
 }
 
 // Put writes through to both tiers.
 func (t *TieredStore) Put(k SnapshotKey, s *Snapshot) {
 	t.mem.Put(k, s)
-	t.disk.Put(k, s)
+	t.lower.Put(k, s)
 }
 
 // Peek reports whether either tier holds the key, without counting traffic.
+// A lower tier that cannot peek is assumed to miss.
 func (t *TieredStore) Peek(k SnapshotKey) bool {
-	return t.mem.Peek(k) || t.disk.Peek(k)
+	if t.mem.Peek(k) {
+		return true
+	}
+	p, ok := t.lower.(Peeker)
+	return ok && p.Peek(k)
 }
 
-// Stats reports combined traffic with a per-tier breakdown. The top-level
-// flat fields keep the store-miss-means-execution contract: Hits counts
-// lookups satisfied by either tier, Misses (and Executions) counts lookups
-// both tiers missed — exactly the cells that paid for execution.
+// Stats reports combined traffic with a per-tier breakdown: memory, then the
+// lower tier's own tiers. The top-level flat fields keep the
+// store-miss-means-execution contract: Hits counts lookups satisfied by
+// either tier, Misses (and Executions) counts lookups both tiers missed.
 func (t *TieredStore) Stats() CacheStats {
+	misses := t.misses.Load()
 	mem := t.mem.tierStats("memory")
-	disk := t.disk.tierStats()
 	return CacheStats{
-		Hits:       mem.Hits + disk.Hits,
-		Misses:     disk.Misses,
+		Hits:       t.hits.Load(),
+		Misses:     misses,
 		Evictions:  mem.Evictions,
 		Entries:    mem.Entries,
-		Executions: disk.Misses,
-		Tiers:      []TierStats{mem, disk},
+		Executions: misses,
+		Tiers:      append([]TierStats{mem}, t.lower.Stats().Tiers...),
 	}
 }

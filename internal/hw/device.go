@@ -11,10 +11,9 @@ import (
 // Device is a simulated GPU: a validated profile, a memory system, and a set
 // of queues (execution engines).
 type Device struct {
-	profile  Profile
-	mem      *MemorySystem
-	timeline sim.Timeline
-	queues   map[QueueKind][]*Queue
+	profile Profile
+	mem     *MemorySystem
+	queues  map[QueueKind][]*Queue
 	// dispatchParallelism caps the host worker goroutines each functional
 	// dispatch fans out across (0 = GOMAXPROCS). The suite runner sets it to
 	// its per-cell core budget so concurrent benchmark cells do not
@@ -70,7 +69,7 @@ func (d *Device) addQueue(kind QueueKind) *Queue {
 		kind:   kind,
 		index:  idx,
 		slot:   uint8(slot),
-		engine: sim.NewEngine(fmt.Sprintf("%s:%s%d", d.profile.Name, kind, idx), &d.timeline),
+		engine: sim.NewEngine(fmt.Sprintf("%s:%s%d", d.profile.Name, kind, idx)),
 	}
 	d.queues[kind] = append(d.queues[kind], q)
 	return q
@@ -109,9 +108,6 @@ func (d *Device) SetFaultHook(h func() error) { d.faultHook = h }
 // Memory returns the device's memory system.
 func (d *Device) Memory() *MemorySystem { return d.mem }
 
-// Timeline returns the device activity trace.
-func (d *Device) Timeline() *sim.Timeline { return &d.timeline }
-
 // QueueCount reports how many queues of the given kind the device exposes.
 func (d *Device) QueueCount(kind QueueKind) int { return len(d.queues[kind]) }
 
@@ -134,16 +130,14 @@ func (d *Device) Driver(api API) (DriverProfile, error) {
 	return drv, nil
 }
 
-// Reset clears all queue occupancy and the device timeline. The benchmark
-// runner uses it between repetitions so measurements start from an idle
-// device.
+// Reset clears all queue occupancy. The benchmark runner uses it between
+// repetitions so measurements start from an idle device.
 func (d *Device) Reset() {
 	for _, qs := range d.queues {
 		for _, q := range qs {
 			q.engine.Reset()
 		}
 	}
-	d.timeline.Reset()
 }
 
 // KernelRun reports the outcome of executing one dispatch on a queue.

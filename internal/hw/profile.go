@@ -76,83 +76,90 @@ const (
 
 // DriverProfile captures the behaviour of one API's driver/runtime on a
 // device. The fields correspond to the overheads and maturity effects the
-// paper identifies.
+// paper identifies. Each field's hw tag classifies it for replay (fields.go).
 type DriverProfile struct {
 	// Supported indicates whether the API is available at all on the device
 	// (e.g. CUDA is only available on NVIDIA hardware).
-	Supported bool
+	Supported bool `hw:"structural"`
 	// Version is the reported API version string (Tables II and III).
-	Version string
+	Version string `hw:"descriptive"`
 
 	// KernelLaunchOverhead is the host-side cost of one kernel launch or
 	// clEnqueueNDRangeKernel call (argument marshalling, validation, driver
 	// submission). CUDA and OpenCL pay this per iteration of an iterative
 	// algorithm; it is the overhead Vulkan's single-command-buffer recording
 	// eliminates.
-	KernelLaunchOverhead time.Duration
+	KernelLaunchOverhead time.Duration `hw:"timing,kernel_launch_overhead_ns"`
 	// SyncLatency is the host cost of a blocking wait for the device
 	// (cudaDeviceSynchronize, clFinish, vkWaitForFences): interrupt delivery
 	// and scheduler wake-up. The multi-kernel method pays it once per
 	// iteration; Vulkan pays it once per submission.
-	SyncLatency time.Duration
+	SyncLatency time.Duration `hw:"timing,sync_latency_ns"`
 	// SubmitOverhead is the cost of one queue submission (vkQueueSubmit or the
 	// implicit flush performed by a blocking CUDA/OpenCL call).
-	SubmitOverhead time.Duration
+	SubmitOverhead time.Duration `hw:"timing,submit_overhead_ns"`
 	// CommandRecordOverhead is the host cost of recording one command into a
 	// command buffer (Vulkan only; zero for the other APIs).
-	CommandRecordOverhead time.Duration
+	CommandRecordOverhead time.Duration `hw:"timing,command_record_overhead_ns"`
 	// PipelineBindOverhead is the device-side cost of binding a compute
 	// pipeline (Vulkan) or switching kernels within a stream (CUDA/OpenCL).
-	PipelineBindOverhead time.Duration
+	PipelineBindOverhead time.Duration `hw:"timing,pipeline_bind_overhead_ns"`
 	// BarrierOverhead is the device-side cost of a pipeline/memory barrier
 	// recorded between dispatches in a command buffer.
-	BarrierOverhead time.Duration
+	BarrierOverhead time.Duration `hw:"timing,barrier_overhead_ns"`
 	// DescriptorUpdateOverhead is the host cost of a descriptor-set update or
 	// clSetKernelArg/parameter setup for one binding.
-	DescriptorUpdateOverhead time.Duration
+	DescriptorUpdateOverhead time.Duration `hw:"timing,descriptor_update_overhead_ns"`
 	// PushConstantOverhead is the cost of updating push constants (or kernel
 	// value arguments) once.
-	PushConstantOverhead time.Duration
+	PushConstantOverhead time.Duration `hw:"timing,push_constant_overhead_ns"`
 	// PushConstantsAsBuffers models the Snapdragon driver defect reported in
 	// §V-B1: push constants are demoted to storage-buffer binds, costing a
-	// descriptor update per dispatch instead of PushConstantOverhead.
-	PushConstantsAsBuffers bool
+	// descriptor update per dispatch instead of PushConstantOverhead. It is
+	// structural: it selects which knob a recorded cost refers to.
+	PushConstantsAsBuffers bool `hw:"structural,pcb"`
 
 	// CompilerEfficiency scales the device's peak ALU throughput; it reflects
 	// the maturity of the API's kernel compiler inside the driver.
-	CompilerEfficiency float64
+	CompilerEfficiency float64 `hw:"timing,compiler_efficiency"`
 	// MemoryEfficiency scales achievable bandwidth for well-coalesced access.
-	MemoryEfficiency float64
+	MemoryEfficiency float64 `hw:"timing,memory_efficiency"`
 	// ScatteredMemoryEfficiency scales achievable bandwidth for poorly
 	// coalesced access; the effective efficiency is interpolated between the
 	// two by the observed coalescing factor.
-	ScatteredMemoryEfficiency float64
+	ScatteredMemoryEfficiency float64 `hw:"timing,scattered_memory_efficiency"`
 	// LocalMemoryAutoOpt indicates that the driver's kernel compiler stages
 	// repeated global loads in workgroup-local memory for kernels marked as
 	// candidates (the paper's CodeXL observation for the OpenCL bfs ISA).
-	LocalMemoryAutoOpt bool
+	LocalMemoryAutoOpt bool `hw:"timing"`
 	// LocalMemoryOptFactor is the fraction of global traffic remaining after
 	// the optimisation applies (only meaningful with LocalMemoryAutoOpt).
-	LocalMemoryOptFactor float64
+	LocalMemoryOptFactor float64 `hw:"timing,local_memory_opt_factor"`
 
 	// JITCompileTime is the cost of building one kernel from source at run
 	// time (OpenCL clBuildProgram). Vulkan consumes pre-compiled SPIR-V and
 	// CUDA consumes pre-compiled cubins/PTX, so theirs is small.
-	JITCompileTime time.Duration
+	JITCompileTime time.Duration `hw:"timing,jit_compile_time_ns"`
 	// PipelineCreateTime is the cost of creating a compute pipeline /
 	// loading a module.
-	PipelineCreateTime time.Duration
+	PipelineCreateTime time.Duration `hw:"timing,pipeline_create_time_ns"`
 	// AllocOverhead is the host cost of a device memory allocation.
-	AllocOverhead time.Duration
+	AllocOverhead time.Duration `hw:"timing,alloc_overhead_ns"`
 	// MaxPushConstantBytes is the push-constant budget exposed to applications
 	// (256 B on GTX 1050 Ti, 128 B on RX 560 and both mobile parts, §VI-B).
-	MaxPushConstantBytes int
+	// It is structural: it gates validation branches.
+	MaxPushConstantBytes int `hw:"structural,maxpush"`
 }
 
 // Validate checks the driver profile for obviously inconsistent values.
 func (d *DriverProfile) Validate() error {
 	if !d.Supported {
 		return nil
+	}
+	for _, f := range knobFields {
+		if v := f.Duration(d); v < 0 {
+			return fmt.Errorf("hw: %s %v is negative", f.Name, v)
+		}
 	}
 	if d.CompilerEfficiency <= 0 || d.CompilerEfficiency > 1 {
 		return fmt.Errorf("hw: compiler efficiency %v out of (0,1]", d.CompilerEfficiency)
@@ -169,51 +176,52 @@ func (d *DriverProfile) Validate() error {
 	return nil
 }
 
-// Profile describes a simulated GPU and its host platform.
+// Profile describes a simulated GPU and its host platform. Each field's hw
+// tag classifies it for replay (fields.go).
 type Profile struct {
 	// Identity, as reported in Tables II and III.
-	Name         string
-	Vendor       string
-	Architecture string
-	Class        Class
+	Name         string `hw:"descriptive"`
+	Vendor       string `hw:"descriptive"`
+	Architecture string `hw:"descriptive"`
+	Class        Class  `hw:"structural,class"`
 
 	// Host-side description (operating system, CPU, memory, installed GPU
 	// driver) used only for the experimental-setup tables.
-	OS         string
-	CPU        string
-	HostMemGB  int
-	DriverName string
+	OS         string `hw:"descriptive"`
+	CPU        string `hw:"descriptive"`
+	HostMemGB  int    `hw:"descriptive"`
+	DriverName string `hw:"descriptive"`
 
 	// Compute resources.
-	ComputeUnits int
-	ALUsPerCU    int
-	CoreClockMHz int
-	WarpSize     int
+	ComputeUnits int `hw:"timing"`
+	ALUsPerCU    int `hw:"timing"`
+	CoreClockMHz int `hw:"timing"`
+	WarpSize     int `hw:"structural,warp"`
 
 	// Memory system.
-	PeakBandwidthGBps   float64
-	MemClockEffMHz      int
-	MemBusWidthBits     int
-	CacheLineBytes      int
-	SharedMemPerCUBytes int
-	DeviceMemBytes      int64
-	HostVisibleMemBytes int64
-	UnifiedMemory       bool
-	TransferGBps        float64
-	TransferLatency     time.Duration
+	PeakBandwidthGBps   float64       `hw:"timing"`
+	MemClockEffMHz      int           `hw:"descriptive"`
+	MemBusWidthBits     int           `hw:"descriptive"`
+	CacheLineBytes      int           `hw:"structural,line"`
+	SharedMemPerCUBytes int           `hw:"descriptive"`
+	DeviceMemBytes      int64         `hw:"structural,devmem"`
+	HostVisibleMemBytes int64         `hw:"structural,hostmem"`
+	UnifiedMemory       bool          `hw:"structural,unified"`
+	TransferGBps        float64       `hw:"timing"`
+	TransferLatency     time.Duration `hw:"timing"`
 
 	// Limits.
-	MaxWorkgroupInvocations int
+	MaxWorkgroupInvocations int `hw:"structural,maxwg"`
 
 	// DispatchLatency is the fixed device-side cost of scheduling one
 	// dispatch (independent of API).
-	DispatchLatency time.Duration
+	DispatchLatency time.Duration `hw:"timing"`
 	// WorkgroupLaunchOverhead is the device-side cost of scheduling one
 	// workgroup onto a compute unit.
-	WorkgroupLaunchOverhead time.Duration
+	WorkgroupLaunchOverhead time.Duration `hw:"timing"`
 
 	// Drivers maps each API to its driver behaviour on this device.
-	Drivers map[API]DriverProfile
+	Drivers map[API]DriverProfile `hw:"structural"`
 }
 
 // Validate checks the profile for structural problems.

@@ -3,6 +3,7 @@ package hw
 import (
 	"fmt"
 	"time"
+	"unsafe"
 
 	"vcomputebench/internal/kernels"
 )
@@ -33,7 +34,8 @@ import (
 // symbolically, so replay can revalue it under a different profile.
 type Knob uint8
 
-// The DriverProfile duration knobs.
+// The DriverProfile duration knobs: its timing durations, in declaration
+// order (knobFields). The order is the trace codec's wire order.
 const (
 	KnobKernelLaunch     Knob = iota // KernelLaunchOverhead
 	KnobSync                         // SyncLatency
@@ -49,34 +51,11 @@ const (
 	knobCount
 )
 
-// value reads the knob from a driver profile.
+// value reads the knob's declared DriverProfile field (see knobFields). It
+// runs once per replayed cost, so it indexes precomputed field offsets
+// instead of going through reflection.
 func (k Knob) value(drv *DriverProfile) time.Duration {
-	switch k {
-	case KnobKernelLaunch:
-		return drv.KernelLaunchOverhead
-	case KnobSync:
-		return drv.SyncLatency
-	case KnobSubmit:
-		return drv.SubmitOverhead
-	case KnobCommandRecord:
-		return drv.CommandRecordOverhead
-	case KnobPipelineBind:
-		return drv.PipelineBindOverhead
-	case KnobBarrier:
-		return drv.BarrierOverhead
-	case KnobDescriptorUpdate:
-		return drv.DescriptorUpdateOverhead
-	case KnobPushConstant:
-		return drv.PushConstantOverhead
-	case KnobJITCompile:
-		return drv.JITCompileTime
-	case KnobPipelineCreate:
-		return drv.PipelineCreateTime
-	case KnobAlloc:
-		return drv.AllocOverhead
-	default:
-		return 0
-	}
+	return *(*time.Duration)(unsafe.Add(unsafe.Pointer(drv), knobFields[k].offset))
 }
 
 // Cost is a symbolic duration: a fixed part plus integer counts of driver
@@ -487,28 +466,4 @@ func (rp *Replayed) Reading(i int) (time.Duration, error) {
 	default:
 		return 0, fmt.Errorf("hw: unknown reading kind %d", r.Kind)
 	}
-}
-
-// ExecutionFingerprint summarises every profile field that can change a run's
-// execution — the trace structure, the dispatch counters, allocation success,
-// memory-mapping validity — as opposed to the timing-only fields replay
-// revalues (all DriverProfile duration knobs and efficiencies, dispatch and
-// transfer latencies, bandwidths, clocks). Two profiles with equal
-// fingerprints may share recorded counter snapshots; the snapshot cache keys
-// on it so a calibration sweep's candidate profiles all hit the same entry.
-func (p *Profile) ExecutionFingerprint() string {
-	fp := fmt.Sprintf("class=%s;warp=%d;line=%d;devmem=%d;hostmem=%d;unified=%t;maxwg=%d",
-		p.Class, p.WarpSize, p.CacheLineBytes, p.DeviceMemBytes, p.HostVisibleMemBytes,
-		p.UnifiedMemory, p.MaxWorkgroupInvocations)
-	for _, api := range AllAPIs() {
-		drv, ok := p.Driver(api)
-		if !ok {
-			fp += fmt.Sprintf(";%s=off", api)
-			continue
-		}
-		// PushConstantsAsBuffers selects which knob a recorded cost refers to;
-		// MaxPushConstantBytes gates validation branches. Both are structural.
-		fp += fmt.Sprintf(";%s=on,pcb=%t,maxpush=%d", api, drv.PushConstantsAsBuffers, drv.MaxPushConstantBytes)
-	}
-	return fp
 }

@@ -18,6 +18,8 @@ package platforms
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -48,6 +50,16 @@ type Platform struct {
 	ID      string
 	Profile hw.Profile
 	Quirks  []Quirk
+}
+
+// Clone deep-copies the platform, so a caller can move profile fields (a
+// calibration candidate, a serve knob override) without touching the
+// canonical definition.
+func (p *Platform) Clone() *Platform {
+	cp := *p
+	cp.Profile.Drivers = maps.Clone(p.Profile.Drivers)
+	cp.Quirks = slices.Clone(p.Quirks)
+	return &cp
 }
 
 // NewDevice instantiates a fresh simulated device for the platform.

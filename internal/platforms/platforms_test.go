@@ -2,6 +2,7 @@ package platforms_test
 
 import (
 	"testing"
+	"time"
 
 	"vcomputebench/internal/expected"
 	"vcomputebench/internal/hw"
@@ -96,5 +97,25 @@ func TestQuirksMatchExpectedExclusions(t *testing.T) {
 		if !match(q, want) {
 			t.Errorf("platform quirk %+v not pinned in expected.Exclusions", q)
 		}
+	}
+}
+
+// TestClone checks the clone shares nothing mutable with the
+// original.
+func TestClone(t *testing.T) {
+	p := platforms.Adreno506()
+	c := p.Clone()
+	drv := c.Profile.Drivers[hw.APIOpenCL]
+	drv.SyncLatency = 123 * time.Microsecond
+	c.Profile.Drivers[hw.APIOpenCL] = drv
+	if p.Profile.Drivers[hw.APIOpenCL].SyncLatency == 123*time.Microsecond {
+		t.Fatal("clone shares the driver map with the original")
+	}
+	if len(c.Quirks) != len(p.Quirks) {
+		t.Fatalf("clone lost quirks: %d vs %d", len(c.Quirks), len(p.Quirks))
+	}
+	c.Quirks[0].Benchmark = "mutated"
+	if p.Quirks[0].Benchmark == "mutated" {
+		t.Fatal("clone shares the quirk slice with the original")
 	}
 }

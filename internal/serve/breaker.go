@@ -28,6 +28,10 @@ const (
 // corrupted store costs re-execution, never errors. While open, every
 // breakerProbeEvery-th read is allowed through as a half-open probe; a clean
 // read (hit or plain miss) closes the breaker again.
+//
+// breaker is a core.SnapshotStore decorator over the disk tier: serve
+// composes core.TieredStore's memory tier over it, which counts the reads an
+// open breaker short-circuits as misses, and so as executions.
 type breaker struct {
 	disk *core.DiskStore
 
@@ -40,9 +44,9 @@ type breaker struct {
 
 func newBreaker(disk *core.DiskStore) *breaker { return &breaker{disk: disk} }
 
-// get reads through the breaker. While open, reads answer miss without
+// Get reads through the breaker. While open, reads answer miss without
 // touching the disk, except for the periodic half-open probe.
-func (b *breaker) get(k core.SnapshotKey) (*core.Snapshot, bool) {
+func (b *breaker) Get(k core.SnapshotKey) (*core.Snapshot, bool) {
 	b.mu.Lock()
 	if b.open {
 		b.bypassed++
@@ -74,9 +78,9 @@ func (b *breaker) get(k core.SnapshotKey) (*core.Snapshot, bool) {
 	return snap, ok
 }
 
-// put writes through unless the breaker is open: a disk that cannot decode
+// Put writes through unless the breaker is open: a disk that cannot decode
 // its own entries should not be handed new ones.
-func (b *breaker) put(k core.SnapshotKey, s *core.Snapshot) {
+func (b *breaker) Put(k core.SnapshotKey, s *core.Snapshot) {
 	b.mu.Lock()
 	open := b.open
 	b.mu.Unlock()
@@ -85,14 +89,18 @@ func (b *breaker) put(k core.SnapshotKey, s *core.Snapshot) {
 	}
 }
 
-// peek probes residency without side effects; an open breaker answers false
+// Peek probes residency without side effects; an open breaker answers false
 // (the tier is in miss-mode, so a resident entry would not be served).
-func (b *breaker) peek(k core.SnapshotKey) bool {
+func (b *breaker) Peek(k core.SnapshotKey) bool {
 	b.mu.Lock()
 	open := b.open
 	b.mu.Unlock()
 	return !open && b.disk.Peek(k)
 }
+
+// Stats reports the disk tier's own traffic; reads the breaker
+// short-circuited never reached it.
+func (b *breaker) Stats() core.CacheStats { return b.disk.Stats() }
 
 // state reports the breaker position and trip count for /metrics.
 func (b *breaker) state() (open bool, trips uint64) {

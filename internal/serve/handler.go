@@ -88,9 +88,9 @@ func (s *Server) handleCodeVersion(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleSimulate answers one measurement cell. The flow is: parse and resolve
-// (400s), refuse while draining (503), then collapse onto a flight — the
-// leader runs the cell (replay fast path, or admission + execution), and
-// followers share its bytes. Request latency is observed for /metrics.
+// (400s), refuse while draining (503), replay a warm cell directly, and
+// collapse a cold one onto a flight — the leader runs admission + execution
+// and followers share its bytes. Request latency is observed for /metrics.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	start := now()
 	resp := s.simulate(r)
@@ -136,6 +136,11 @@ func (s *Server) simulate(r *http.Request) *response {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
 	}
+	// A warm cell replays directly: a replay costs microseconds and no
+	// executor, so only cold cells collapse onto a flight.
+	if s.peekStore(cell.storeKey) {
+		return s.replay(cell)
+	}
 	resp, leader, err := s.flights.do(ctx, cell.key, func() *response { return s.runCell(cell) })
 	if err != nil {
 		return s.errorResponse(http.StatusGatewayTimeout, &report.WireError{
@@ -148,30 +153,41 @@ func (s *Server) simulate(r *http.Request) *response {
 	return resp
 }
 
-// runCell is the flight leader's work: replay when the store has the cell,
-// otherwise admission (shed with 429 when saturated) and execution. Replays
-// never touch the admission layer — they cost microseconds and no executor.
+// runCell is the flight leader's work: replay when the store has the cell
+// (it may have been stored since the request peeked), otherwise admission
+// (shed with 429 when saturated) and execution. Replays never touch the
+// admission layer — they cost microseconds and no executor.
 func (s *Server) runCell(c *simCell) *response {
-	execute := !s.peekStore(c.storeKey)
-	if execute {
-		release, err := s.adm.acquire(s.baseCtx)
-		if err != nil {
-			if errors.Is(err, errShed) {
-				s.metrics.shed.Add(1)
-				return s.errorResponse(http.StatusTooManyRequests, &report.WireError{
-					Class: "shed", Message: "executor pool saturated and queue full",
-				}).withRetryAfter()
-			}
-			// The base context only ends when the drain force-stops cells.
-			return s.errorResponse(http.StatusServiceUnavailable, &report.WireError{
-				Class: "draining", Message: "server is draining; retry elsewhere",
+	if s.peekStore(c.storeKey) {
+		return s.replay(c)
+	}
+	release, err := s.adm.acquire(s.baseCtx)
+	if err != nil {
+		if errors.Is(err, errShed) {
+			s.metrics.shed.Add(1)
+			return s.errorResponse(http.StatusTooManyRequests, &report.WireError{
+				Class: "shed", Message: "executor pool saturated and queue full",
 			}).withRetryAfter()
 		}
-		defer release()
-		s.metrics.executions.Add(1)
-	} else {
-		s.metrics.replays.Add(1)
+		// The base context only ends when the drain force-stops cells.
+		return s.errorResponse(http.StatusServiceUnavailable, &report.WireError{
+			Class: "draining", Message: "server is draining; retry elsewhere",
+		}).withRetryAfter()
 	}
+	defer release()
+	s.metrics.executions.Add(1)
+	return s.answer(c)
+}
+
+// replay answers a cell the store holds.
+func (s *Server) replay(c *simCell) *response {
+	s.metrics.replays.Add(1)
+	return s.answer(c)
+}
+
+// answer runs the cell through the runner (a replay on a warm store) and
+// encodes the wire envelope.
+func (s *Server) answer(c *simCell) *response {
 	res, err := s.runner.RunCell(s.baseCtx, c.p, c.bench, c.api, c.workload)
 	if err != nil {
 		return s.failureResponse(err)

@@ -23,7 +23,7 @@ type SimulateRequest struct {
 	API       string `json:"api"`
 	Workload  string `json:"workload,omitempty"`
 	// DriverKnobs overrides timing-only DriverProfile fields of the requested
-	// API's driver (see knobSetters for the names). Structural fields —
+	// API's driver (see KnobNames for the names). Structural fields —
 	// anything in the execution fingerprint — are not overridable: the whole
 	// point is that a knob change replays the same stored snapshot instead of
 	// forcing an execution.
@@ -58,50 +58,19 @@ type knob struct {
 	value float64
 }
 
-// knobSetters maps wire knob names to timing-only DriverProfile fields.
-// Every entry must stay out of hw.Profile.ExecutionFingerprint — replay
-// revalues these on an existing trace; a structural field here would serve
-// results from a snapshot the override invalidated.
-var knobSetters = map[string]func(*hw.DriverProfile, float64){
-	"kernel_launch_overhead_ns":     func(d *hw.DriverProfile, v float64) { d.KernelLaunchOverhead = time.Duration(v) },
-	"sync_latency_ns":               func(d *hw.DriverProfile, v float64) { d.SyncLatency = time.Duration(v) },
-	"submit_overhead_ns":            func(d *hw.DriverProfile, v float64) { d.SubmitOverhead = time.Duration(v) },
-	"command_record_overhead_ns":    func(d *hw.DriverProfile, v float64) { d.CommandRecordOverhead = time.Duration(v) },
-	"pipeline_bind_overhead_ns":     func(d *hw.DriverProfile, v float64) { d.PipelineBindOverhead = time.Duration(v) },
-	"barrier_overhead_ns":           func(d *hw.DriverProfile, v float64) { d.BarrierOverhead = time.Duration(v) },
-	"descriptor_update_overhead_ns": func(d *hw.DriverProfile, v float64) { d.DescriptorUpdateOverhead = time.Duration(v) },
-	"push_constant_overhead_ns":     func(d *hw.DriverProfile, v float64) { d.PushConstantOverhead = time.Duration(v) },
-	"jit_compile_time_ns":           func(d *hw.DriverProfile, v float64) { d.JITCompileTime = time.Duration(v) },
-	"pipeline_create_time_ns":       func(d *hw.DriverProfile, v float64) { d.PipelineCreateTime = time.Duration(v) },
-	"alloc_overhead_ns":             func(d *hw.DriverProfile, v float64) { d.AllocOverhead = time.Duration(v) },
-	"compiler_efficiency":           func(d *hw.DriverProfile, v float64) { d.CompilerEfficiency = v },
-	"memory_efficiency":             func(d *hw.DriverProfile, v float64) { d.MemoryEfficiency = v },
-	"scattered_memory_efficiency":   func(d *hw.DriverProfile, v float64) { d.ScatteredMemoryEfficiency = v },
-	"local_memory_opt_factor":       func(d *hw.DriverProfile, v float64) { d.LocalMemoryOptFactor = v },
-}
-
 // KnobNames lists the accepted driver_knobs keys, sorted (documentation and
-// error messages).
+// error messages): the wire names of the timing DriverProfile fields declared
+// in internal/hw. Timing fields stay out of hw.Profile.ExecutionFingerprint,
+// so an override replays the stored snapshot instead of forcing an execution.
 func KnobNames() []string {
-	names := make([]string, 0, len(knobSetters))
-	for name := range knobSetters {
-		names = append(names, name)
+	var names []string
+	for _, f := range hw.DriverFields() {
+		if f.Kind == hw.Timing && f.Key != "" {
+			names = append(names, f.Key)
+		}
 	}
 	sort.Strings(names)
 	return names
-}
-
-// clonePlatform deep-copies a platform so knob overrides never mutate the
-// canonical table (same contract as calibrate.ClonePlatform, local to avoid
-// the dependency).
-func clonePlatform(p *platforms.Platform) *platforms.Platform {
-	cp := *p
-	cp.Profile.Drivers = make(map[hw.API]hw.DriverProfile, len(p.Profile.Drivers))
-	for api, drv := range p.Profile.Drivers {
-		cp.Profile.Drivers[api] = drv
-	}
-	cp.Quirks = append([]platforms.Quirk(nil), p.Quirks...)
-	return &cp
 }
 
 // resolve validates the request against the registries and builds the cell:
@@ -151,13 +120,13 @@ func (s *Server) resolve(req *SimulateRequest) (*simCell, error) {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		clone := clonePlatform(p)
+		clone := p.Clone()
 		drv, ok := clone.Profile.Drivers[api]
 		if !ok {
 			return nil, badRequest("platform %s has no %s driver to override", p.ID, api)
 		}
 		for _, name := range names {
-			set, ok := knobSetters[name]
+			f, ok := hw.WireKnob(name)
 			if !ok {
 				return nil, badRequest("unknown driver knob %q (have %s)", name, strings.Join(KnobNames(), ", "))
 			}
@@ -165,7 +134,16 @@ func (s *Server) resolve(req *SimulateRequest) (*simCell, error) {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 				return nil, badRequest("driver knob %q: value %v must be finite and non-negative", name, v)
 			}
-			set(&drv, v)
+			if f.IsDuration() {
+				// float64(math.MaxInt64) is 2^63: anything at or above it
+				// would wrap negative in the conversion.
+				if v >= math.MaxInt64 {
+					return nil, badRequest("driver knob %q: value %v ns overflows a duration", name, v)
+				}
+				f.SetDuration(&drv, time.Duration(v))
+			} else {
+				f.SetFloat(&drv, v)
+			}
 			cell.knobs = append(cell.knobs, knob{name: name, value: v})
 		}
 		if err := drv.Validate(); err != nil {

@@ -182,7 +182,7 @@ func New(cfg Config) (*Server, error) {
 	switch {
 	case cfg.Disk != nil:
 		s.breaker = newBreaker(cfg.Disk)
-		s.store = newServeStore(core.NewSnapshotCache(0), s.breaker)
+		s.store = core.NewTieredStore(core.NewSnapshotCache(0), s.breaker)
 	case cfg.Store != nil:
 		s.store = cfg.Store
 	default:

@@ -228,6 +228,8 @@ func TestServeBadRequests(t *testing.T) {
 		{"unknown workload", http.MethodPost, `{"platform":"gtx1050ti","benchmark":"vectoradd","api":"vulkan","workload":"galactic"}`, http.StatusBadRequest},
 		{"unknown knob", http.MethodPost, simulateBody(`,"driver_knobs":{"warp_size":64}`), http.StatusBadRequest},
 		{"negative knob", http.MethodPost, simulateBody(`,"driver_knobs":{"sync_latency_ns":-1}`), http.StatusBadRequest},
+		{"overflowing duration knob", http.MethodPost, simulateBody(`,"driver_knobs":{"sync_latency_ns":1e300}`), http.StatusBadRequest},
+		{"duration knob at 2^63 ns", http.MethodPost, simulateBody(`,"driver_knobs":{"alloc_overhead_ns":9223372036854775808}`), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -516,7 +518,7 @@ func TestChaosServeBreakerTripsAndRecovers(t *testing.T) {
 
 	br := newBreaker(disk)
 	for i, k := range keys[:breakerThreshold] {
-		if _, ok := br.get(k); ok {
+		if _, ok := br.Get(k); ok {
 			t.Fatalf("read %d of a corrupt entry reported a hit", i)
 		}
 		open, _ := br.state()
@@ -531,7 +533,7 @@ func TestChaosServeBreakerTripsAndRecovers(t *testing.T) {
 
 	// While open: peeks answer false and puts are dropped, even for entries
 	// the disk could hold.
-	if br.peek(keys[0]) {
+	if br.Peek(keys[0]) {
 		t.Fatal("open breaker answered peek true")
 	}
 	spare := core.NewSnapshotCache(0)
@@ -547,23 +549,37 @@ func TestChaosServeBreakerTripsAndRecovers(t *testing.T) {
 	if !ok {
 		t.Fatal("spare cell did not cache")
 	}
-	br.put(spareKey, snap)
+	br.Put(spareKey, snap)
 	if disk.Peek(spareKey) {
 		t.Fatal("open breaker wrote through to the disk")
 	}
 
 	// Recovery: the corrupt entries were removed by their failed reads, so the
 	// next read the breaker lets through is clean. Reads 1..N-1 are bypassed;
-	// the N-th is the half-open probe and closes the breaker.
+	// the N-th is the half-open probe and closes the breaker. The bypassed
+	// reads go through the tiered store serve composes over the breaker: each
+	// is a top-level miss (an execution), though the disk never sees it.
+	tiered := core.NewTieredStore(nil, br)
+	diskMisses := disk.Stats().Misses
 	for i := 0; i < breakerProbeEvery-1; i++ {
-		if _, ok := br.get(keys[0]); ok {
+		if _, ok := tiered.Get(keys[0]); ok {
 			t.Fatalf("bypassed read %d reported a hit", i)
 		}
 		if open, _ := br.state(); !open {
 			t.Fatalf("breaker closed after %d bypassed reads, before the probe", i+1)
 		}
 	}
-	if _, ok := br.get(keys[0]); ok {
+	st := tiered.Stats()
+	if want := uint64(breakerProbeEvery - 1); st.Misses != want || st.Executions != want || st.Hits != 0 {
+		t.Fatalf("tiered stats = %+v, want %d misses and executions, no hits", st, want)
+	}
+	if len(st.Tiers) != 2 || st.Tiers[0].Tier != "memory" || st.Tiers[1].Tier != "disk" {
+		t.Fatalf("tiers = %+v, want [memory disk]", st.Tiers)
+	}
+	if st.Tiers[1].Misses != diskMisses {
+		t.Fatalf("disk tier misses %d -> %d, want the bypassed reads kept off the disk", diskMisses, st.Tiers[1].Misses)
+	}
+	if _, ok := br.Get(keys[0]); ok {
 		t.Fatal("probe read of a removed entry reported a hit")
 	}
 	if open, trips := br.state(); open || trips != 1 {
@@ -571,11 +587,11 @@ func TestChaosServeBreakerTripsAndRecovers(t *testing.T) {
 	}
 
 	// Closed again: writes land and reads serve them.
-	br.put(spareKey, snap)
+	br.Put(spareKey, snap)
 	if !disk.Peek(spareKey) {
 		t.Fatal("closed breaker dropped a put")
 	}
-	if got, ok := br.get(spareKey); !ok || got == nil {
+	if got, ok := br.Get(spareKey); !ok || got == nil {
 		t.Fatal("closed breaker missed a resident entry")
 	}
 }

@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -55,70 +54,4 @@ func (c *Clock) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.now = 0
-}
-
-// Span is a named interval on a timeline, used for tracing what the simulated
-// device did and when.
-type Span struct {
-	Name  string
-	Queue string
-	Start time.Duration
-	End   time.Duration
-}
-
-// Duration returns the length of the span.
-func (s Span) Duration() time.Duration { return s.End - s.Start }
-
-func (s Span) String() string {
-	return fmt.Sprintf("%s[%s]: %v..%v (%v)", s.Queue, s.Name, s.Start, s.End, s.Duration())
-}
-
-// Timeline records spans of simulated activity. It is safe for concurrent use.
-type Timeline struct {
-	mu    sync.Mutex
-	spans []Span
-}
-
-// Record appends a span to the timeline.
-func (t *Timeline) Record(s Span) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.spans = append(t.spans, s)
-}
-
-// Spans returns a copy of all recorded spans in insertion order.
-func (t *Timeline) Spans() []Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Span, len(t.spans))
-	copy(out, t.spans)
-	return out
-}
-
-// Busy returns the total busy time recorded for the named queue. An empty
-// queue name sums across all queues.
-func (t *Timeline) Busy(queue string) time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var total time.Duration
-	for _, s := range t.spans {
-		if queue == "" || s.Queue == queue {
-			total += s.Duration()
-		}
-	}
-	return total
-}
-
-// Len reports the number of recorded spans.
-func (t *Timeline) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
-// Reset clears the timeline.
-func (t *Timeline) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.spans = nil
 }

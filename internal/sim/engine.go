@@ -21,14 +21,12 @@ type Engine struct {
 	mu          sync.Mutex
 	name        string
 	availableAt time.Duration
-	timeline    *Timeline
 	negClamped  int
 }
 
-// NewEngine creates an engine with the given name. The timeline may be nil if
-// tracing is not required.
-func NewEngine(name string, tl *Timeline) *Engine {
-	return &Engine{name: name, timeline: tl}
+// NewEngine creates an engine with the given name.
+func NewEngine(name string) *Engine {
+	return &Engine{name: name}
 }
 
 // Name returns the engine name.
@@ -64,9 +62,6 @@ func (e *Engine) Schedule(name string, earliest, d time.Duration) (start, end ti
 	end = start + d
 	e.availableAt = end
 	e.mu.Unlock()
-	if e.timeline != nil {
-		e.timeline.Record(Span{Name: name, Queue: e.name, Start: start, End: end})
-	}
 	return start, end
 }
 
@@ -100,9 +95,8 @@ type TraceSink interface {
 // read with the simulated equivalent of std::chrono, plus helpers for
 // host-side busy work (API call overheads, validation, driver work).
 type Host struct {
-	clock    Clock
-	timeline Timeline
-	sink     TraceSink
+	clock Clock
+	sink  TraceSink
 }
 
 // NewHost returns a host whose clock starts at zero.
@@ -118,39 +112,24 @@ func (h *Host) Now() time.Duration { return h.clock.Now() }
 
 // Spend advances the host clock by d, modelling CPU-side work such as API
 // validation, command recording or driver bookkeeping, and returns the new
-// time.
+// time. what names the work at the call site.
 func (h *Host) Spend(what string, d time.Duration) time.Duration {
 	if h.sink != nil {
 		h.sink.HostSpend(d)
 	}
-	if d <= 0 {
-		return h.clock.Now()
-	}
-	start := h.clock.Now()
-	end := h.clock.Advance(d)
-	h.timeline.Record(Span{Name: what, Queue: "host", Start: start, End: end})
-	return end
+	return h.clock.Advance(d)
 }
 
 // WaitUntil blocks (in virtual time) until t: the host clock is advanced to t
 // if t is in the future.
 func (h *Host) WaitUntil(t time.Duration) time.Duration {
-	start := h.clock.Now()
-	end := h.clock.AdvanceTo(t)
-	if end > start {
-		h.timeline.Record(Span{Name: "wait", Queue: "host", Start: start, End: end})
-	}
-	return end
+	return h.clock.AdvanceTo(t)
 }
 
-// Timeline exposes the host activity trace.
-func (h *Host) Timeline() *Timeline { return &h.timeline }
-
-// Reset rewinds the host clock and clears its trace. Only tests and the
-// benchmark runner (between repetitions) should use this.
+// Reset rewinds the host clock. Only tests and the benchmark runner (between
+// repetitions) should use this.
 func (h *Host) Reset() {
 	h.clock.Reset()
-	h.timeline.Reset()
 }
 
 // Stopwatch measures an interval of host virtual time, mirroring the paper's

@@ -7,7 +7,7 @@ import (
 )
 
 func TestScheduleOrdersWork(t *testing.T) {
-	e := NewEngine("q0", nil)
+	e := NewEngine("q0")
 	start, end := e.Schedule("a", 0, 10*time.Microsecond)
 	if start != 0 || end != 10*time.Microsecond {
 		t.Fatalf("first span = [%v, %v], want [0, 10µs]", start, end)
@@ -25,7 +25,7 @@ func TestScheduleOrdersWork(t *testing.T) {
 }
 
 func TestScheduleCountsNegativeDurationClamps(t *testing.T) {
-	e := NewEngine("q0", nil)
+	e := NewEngine("q0")
 	availBefore := e.AvailableAt()
 	start, end := e.Schedule("broken-model", 0, -time.Microsecond)
 	if start != end {
@@ -50,7 +50,7 @@ func TestScheduleCountsNegativeDurationClamps(t *testing.T) {
 func TestScheduleNegativeDurationPanicsInDebugMode(t *testing.T) {
 	DebugNegativeDurations = true
 	defer func() { DebugNegativeDurations = false }()
-	e := NewEngine("q0", nil)
+	e := NewEngine("q0")
 	defer func() {
 		r := recover()
 		if r == nil {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"vcomputebench/internal/calibrate"
 	"vcomputebench/internal/core"
 	"vcomputebench/internal/experiments"
 	"vcomputebench/internal/hw"
@@ -120,46 +119,98 @@ func TestReplayMatchesExecution(t *testing.T) {
 	}
 }
 
-// perturbKnobs returns a clone of the platform with every sweepable timing
-// knob moved, exactly as a calibration sweep's candidate profiles do. The
-// execution fingerprint is unchanged, so a snapshot recorded on the original
-// platform replays under the clone.
-func perturbKnobs(p *platforms.Platform) *platforms.Platform {
-	cand := calibrate.ClonePlatform(p)
+// moveTiming moves every timing field of the hw declaration in v (a Profile
+// or DriverProfile), as a calibration sweep or a serve what-if would:
+// durations and counts grow (zero durations become non-zero), floats shrink
+// by 10% so efficiencies stay inside their Validate ranges, and switches flip
+// when flipSwitches is set.
+func moveTiming(v reflect.Value, fields []hw.Field, flipSwitches bool) {
+	for _, f := range fields {
+		if f.Kind != hw.Timing {
+			continue
+		}
+		fv := v.FieldByName(f.Name)
+		switch fv.Kind() {
+		case reflect.Int64: // time.Duration
+			fv.SetInt(fv.Int()*13/10 + int64(time.Microsecond))
+		case reflect.Int:
+			fv.SetInt(fv.Int() + fv.Int()/10 + 1)
+		case reflect.Float64:
+			fv.SetFloat(fv.Float() * 0.9)
+		case reflect.Bool:
+			if flipSwitches {
+				fv.SetBool(!fv.Bool())
+			}
+		default:
+			panic("moveTiming: no rule for a " + fv.Type().String() + " field")
+		}
+	}
+}
+
+// changedTiming lists the timing fields whose values differ between a and b.
+func changedTiming(a, b reflect.Value, fields []hw.Field) []string {
+	var out []string
+	for _, f := range fields {
+		if f.Kind == hw.Timing && a.FieldByName(f.Name).Interface() != b.FieldByName(f.Name).Interface() {
+			out = append(out, f.Name)
+		}
+	}
+	return out
+}
+
+// perturbTiming returns a clone of the platform with every timing field
+// moved, profile-level and per-driver, and the names of the fields whose
+// value changed. Switches (LocalMemoryAutoOpt) flip only when flipSwitches is
+// set, so the fields they gate (LocalMemoryOptFactor) can be moved live on
+// other platforms; a flip that would leave the driver invalid (promotion on
+// without a factor) is undone. The execution fingerprint is unchanged, so a
+// snapshot recorded on the original platform replays under the clone.
+func perturbTiming(t *testing.T, p *platforms.Platform, flipSwitches bool) (*platforms.Platform, []string) {
+	t.Helper()
+	cand := p.Clone()
+	moveTiming(reflect.ValueOf(&cand.Profile).Elem(), hw.ProfileFields(), false)
+	moved := changedTiming(reflect.ValueOf(p.Profile), reflect.ValueOf(cand.Profile), hw.ProfileFields())
 	for api, drv := range cand.Profile.Drivers {
 		if !drv.Supported {
 			continue
 		}
-		drv.KernelLaunchOverhead = drv.KernelLaunchOverhead * 13 / 10
-		drv.SyncLatency = drv.SyncLatency * 3 / 4
-		drv.CompilerEfficiency *= 0.9
-		drv.MemoryEfficiency *= 0.85
-		if drv.ScatteredMemoryEfficiency > 0 {
-			drv.ScatteredMemoryEfficiency *= 1.1
-			if drv.ScatteredMemoryEfficiency > 1 {
-				drv.ScatteredMemoryEfficiency = 1
-			}
+		orig := drv
+		moveTiming(reflect.ValueOf(&drv).Elem(), hw.DriverFields(), flipSwitches)
+		if drv.Validate() != nil {
+			drv.LocalMemoryAutoOpt = orig.LocalMemoryAutoOpt
 		}
-		if drv.LocalMemoryAutoOpt {
-			drv.LocalMemoryOptFactor *= 0.8
-		}
+		moved = append(moved, changedTiming(reflect.ValueOf(orig), reflect.ValueOf(drv), hw.DriverFields())...)
 		cand.Profile.Drivers[api] = drv
 	}
-	return cand
+	if err := cand.Profile.Validate(); err != nil {
+		t.Fatalf("perturbed %s profile is invalid: %v", p.ID, err)
+	}
+	return cand, moved
 }
 
-// TestReplayUnderModifiedProfile pins the property the calibration sweep
-// rests on: replaying a snapshot under a candidate profile with different
-// DriverProfile knob values is bit-identical to executing the full benchmark
-// afresh under that candidate.
+// TestReplayUnderModifiedProfile pins the property the calibration sweep and
+// serve's driver_knobs rest on: replaying a snapshot under a candidate
+// profile with every timing field moved is bit-identical to executing the
+// full benchmark afresh under that candidate. Every timing field of the hw
+// declaration must be moved on at least one platform.
 func TestReplayUnderModifiedProfile(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("single-threaded determinism matrix; see TestReplayMatchesExecution")
 	}
-	for _, p := range platforms.All() {
-		perturbed := perturbKnobs(p)
+	unmoved := map[string]bool{}
+	for _, f := range append(hw.ProfileFields(), hw.DriverFields()...) {
+		if f.Kind == hw.Timing {
+			unmoved[f.Name] = true
+		}
+	}
+	for i, p := range platforms.All() {
+		// Switches flip on every other platform.
+		perturbed, moved := perturbTiming(t, p, i%2 == 1)
+		for _, name := range moved {
+			delete(unmoved, name)
+		}
 		if fp, want := perturbed.Profile.ExecutionFingerprint(), p.Profile.ExecutionFingerprint(); fp != want {
-			t.Fatalf("perturbing timing knobs changed the execution fingerprint:\n  %s\n  %s", fp, want)
+			t.Fatalf("perturbing timing fields changed the execution fingerprint:\n  %s\n  %s", fp, want)
 		}
 		cached := &core.Runner{Repetitions: 2, Seed: 42, Cache: core.NewSnapshotCache(0)}
 		fresh := &core.Runner{Repetitions: 2, Seed: 42}
@@ -170,12 +221,15 @@ func TestReplayUnderModifiedProfile(t *testing.T) {
 					if _, ok := runCell(t, cached, p, name, api); !ok { // execute + snapshot on the base profile
 						t.Skipf("%s/%s excluded on %s", name, api, p.ID)
 					}
-					replayed, _ := runCell(t, cached, perturbed, name, api) // cache hit: replay under moved knobs
-					executed, _ := runCell(t, fresh, perturbed, name, api)  // ground truth: fresh run under moved knobs
+					replayed, _ := runCell(t, cached, perturbed, name, api) // cache hit: replay under moved fields
+					executed, _ := runCell(t, fresh, perturbed, name, api)  // ground truth: fresh run under moved fields
 					requireSameResult(t, "fresh-on-candidate vs replay-on-candidate", executed, replayed)
 				})
 			}
 		}
+	}
+	for name := range unmoved {
+		t.Errorf("timing field %s was never moved", name)
 	}
 }
 
