@@ -1,6 +1,9 @@
 package kernels
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // Words is the raw storage type of simulated device memory: a stream of 32-bit
 // words, mirroring SPIR-V's data model. Host-side helpers convert between Go
@@ -134,6 +137,16 @@ func (v BufferView) LoadU32(inv *Invocation, i int) uint32 {
 func (v BufferView) StoreU32(inv *Invocation, i int, x uint32) {
 	v.wg.noteStore(inv, v.binding, i)
 	v.data[i] = x
+}
+
+// StoreU32Shared stores x into element i for kernels whose invocations in
+// different workgroups may all write that element with the same value, as
+// Rodinia bfs does with its frontier flags and costs. Concurrently executing
+// workgroups make such plain stores a data race on the host, so the write is
+// atomic; it is counted as exactly one store, like StoreU32.
+func (v BufferView) StoreU32Shared(inv *Invocation, i int, x uint32) {
+	v.wg.noteStore(inv, v.binding, i)
+	atomic.StoreUint32(&v.data[i], x)
 }
 
 // AtomicOrU32 performs a read-modify-write OR on element i. The simulated

@@ -12,7 +12,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"vcomputebench/internal/bench"
 	"vcomputebench/internal/core"
@@ -105,22 +104,34 @@ func (a *algorithm) NextPhase(phase int, io rodinia.IO) ([]rodinia.Step, error) 
 	}}, nil
 }
 
-// nearest returns the indices of the k smallest distances.
-func nearest(distances []float32, k int) []int {
-	idx := make([]int, len(distances))
-	for i := range idx {
-		idx[i] = i
+// nearest returns the indices of the k smallest of the float32 distances
+// encoded in words, ordered by (distance, index). One pass keeps the best k in
+// a window sorted the same way: indices are scanned upward, so a later element
+// displaces the worst only when strictly closer, and ties keep the lower
+// index. Distances are never NaN (square roots of sums of squares).
+func nearest(words kernels.Words, k int) []int {
+	k = min(k, len(words))
+	if k <= 0 {
+		return nil
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		if distances[idx[a]] != distances[idx[b]] {
-			return distances[idx[a]] < distances[idx[b]]
+	best := make([]int, 0, k)
+	dist := make([]float32, 0, k)
+	for i, w := range words {
+		d := math.Float32frombits(w)
+		if len(best) == k {
+			if !(d < dist[k-1]) {
+				continue
+			}
+			best, dist = best[:k-1], dist[:k-1]
 		}
-		return idx[a] < idx[b]
-	})
-	if k > len(idx) {
-		k = len(idx)
+		j := len(best)
+		best, dist = append(best, i), append(dist, d)
+		for ; j > 0 && d < dist[j-1]; j-- {
+			best[j], dist[j] = best[j-1], dist[j-1]
+		}
+		best[j], dist[j] = i, d
 	}
-	return idx[:k]
+	return best
 }
 
 func workloads(class hw.Class) []core.Workload {
@@ -146,25 +157,22 @@ func run(ctx *core.RunContext) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	distances := kernels.WordsToF32(out.Buffers[1])[:n]
+	distances := out.Buffers[1][:n]
 	best := nearest(distances, K)
 
 	if ctx.Validate {
-		want := make([]float32, n)
-		for i := 0; i < n; i++ {
+		for i, w := range distances {
 			dlat := locations[2*i] - alg.lat
 			dlng := locations[2*i+1] - alg.lng
-			want[i] = float32(math.Sqrt(float64(dlat*dlat + dlng*dlng)))
-		}
-		for i := range want {
-			if bench.AbsDiff(distances[i], want[i]) > 1e-4 {
-				return nil, fmt.Errorf("nn: distance %d = %v, want %v", i, distances[i], want[i])
+			want := float32(math.Sqrt(float64(dlat*dlat + dlng*dlng)))
+			if got := math.Float32frombits(w); bench.AbsDiff(got, want) > 1e-4 {
+				return nil, fmt.Errorf("nn: distance %d = %v, want %v", i, got, want)
 			}
 		}
 	}
 	sel := make([]float32, 0, 2*len(best))
 	for _, idx := range best {
-		sel = append(sel, float32(idx), distances[idx])
+		sel = append(sel, float32(idx), math.Float32frombits(distances[idx]))
 	}
 	return &core.Result{
 		KernelTime: out.KernelTime,
