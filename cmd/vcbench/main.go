@@ -130,16 +130,9 @@ func main() {
 	}
 	switch {
 	case *storeDir != "":
-		disk, err := core.OpenDiskStore(*storeDir, codeversion.Fingerprint(), nil)
+		disk, err := openStore("vcbench", *storeDir, *storeGC)
 		if err != nil {
 			fatal(err)
-		}
-		if *storeGC {
-			removed, reclaimed, err := disk.GC()
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "vcbench: store GC: removed %d stale files, reclaimed %d bytes\n", removed, reclaimed)
 		}
 		opts.Cache = core.NewTieredStore(core.NewSnapshotCache(0), disk)
 	case *useCache:
@@ -231,6 +224,24 @@ func fatal(err error) {
 		beforeExit()
 	}
 	os.Exit(exitCode(err))
+}
+
+// openStore opens the persistent snapshot store under dir for this build's
+// code version, first garbage-collecting it when gc is set. prog prefixes
+// the GC report on stderr.
+func openStore(prog, dir string, gc bool) (*core.DiskStore, error) {
+	disk, err := core.OpenDiskStore(dir, codeversion.Fingerprint(), nil)
+	if err != nil {
+		return nil, err
+	}
+	if gc {
+		removed, reclaimed, err := disk.GC()
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "%s: store GC: removed %d stale files, reclaimed %d bytes\n", prog, removed, reclaimed)
+	}
+	return disk, nil
 }
 
 // printCacheStats reports the snapshot store's traffic: misses are cells that

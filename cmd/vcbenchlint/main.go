@@ -12,7 +12,8 @@
 // The package patterns are forwarded to `go vet` verbatim (default ./...);
 // the custom analyzers always audit the whole module containing the working
 // directory, because their invariants (registration completeness, codec
-// field sync) are cross-package by nature.
+// field sync) are cross-package by nature. A DefaultConfig package pattern
+// that matches no package of the module is reported as a finding too.
 package main
 
 import (
@@ -80,7 +81,11 @@ func main() {
 		}
 		fmt.Println(d)
 	}
-	if len(diags) > 0 || failed {
+	stale := lint.StalePatterns(cfg, world)
+	for _, s := range stale {
+		fmt.Printf("lint.DefaultConfig: %s\n", s)
+	}
+	if len(diags) > 0 || len(stale) > 0 || failed {
 		os.Exit(1)
 	}
 }

@@ -10,24 +10,23 @@ import (
 	"log"
 
 	"vcomputebench/internal/glsl"
+	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
 	_ "vcomputebench/internal/micro" // registers the vectoradd kernel + GLSL
 	"vcomputebench/internal/platforms"
-	"vcomputebench/internal/sim"
 	"vcomputebench/internal/vulkan"
 )
 
 func main() {
 	const n = 1 << 20 // one million elements, as in §IV-A
-	host := sim.NewHost()
 	platform := platforms.GTX1050Ti()
-	gpu, err := platform.NewDevice()
+	gpu, err := platform.NewDevice(hw.APIVulkan)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Enumerate devices, then create instance, queues and device.
-	instance, err := vulkan.CreateInstance(host, vulkan.InstanceCreateInfo{ApplicationName: "vectorAdd"}, gpu)
+	instance, err := vulkan.CreateInstance(vulkan.InstanceCreateInfo{ApplicationName: "vectorAdd"}, gpu)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -171,7 +170,9 @@ func main() {
 	must(fence.Wait())
 
 	fmt.Printf("dispatched %d workgroups in %v of simulated device time\n", n/256, stats.KernelTime)
-	fmt.Printf("host (std::chrono-style) time including setup: %v\n", host.Now())
+	// The device's timeline is the run's clock: read the host time from it.
+	tl := gpu.Timeline()
+	fmt.Printf("host (std::chrono-style) time including setup: %v\n", tl.ReadHostMark(tl.Mark()))
 }
 
 func must(err error) {

@@ -12,7 +12,6 @@ import (
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
 	"vcomputebench/internal/opencl"
-	"vcomputebench/internal/sim"
 )
 
 // CLSource synthesises an OpenCL C translation-unit skeleton declaring the
@@ -53,8 +52,8 @@ type CLEnv struct {
 
 // SetupOpenCL creates the OpenCL context, a profiling command queue and a
 // built program containing the named kernels.
-func SetupOpenCL(host *sim.Host, dev *hw.Device, kernelNames ...string) (*CLEnv, error) {
-	plats, err := opencl.GetPlatforms(host, dev)
+func SetupOpenCL(dev *hw.Device, kernelNames ...string) (*CLEnv, error) {
+	plats, err := opencl.GetPlatforms(dev)
 	if err != nil {
 		return nil, err
 	}
@@ -88,8 +87,8 @@ type CUDAEnv struct {
 }
 
 // SetupCUDA initialises the CUDA runtime on the device.
-func SetupCUDA(host *sim.Host, dev *hw.Device) (*CUDAEnv, error) {
-	ctx, err := cuda.NewContext(host, dev)
+func SetupCUDA(dev *hw.Device) (*CUDAEnv, error) {
+	ctx, err := cuda.NewContext(dev)
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,8 @@
 // snapshot store keys its entries by: a digest over every Go source file —
 // baked into the binary with go:embed at build time — whose behaviour can
 // change what a measurement cell executes or how its trace is recorded. The
-// covered layers are the kernels and dispatch engine, the hw/sim execution
-// and recording seam, the API front ends, the core runner/snapshot machinery,
+// covered layers are the kernels and dispatch engine, the hw execution and
+// timeline seam, the API front ends, the core runner/snapshot machinery,
 // and every workload package (input generation included).
 //
 // Deliberately NOT covered: internal/platforms (DriverProfile knob values are
@@ -51,7 +51,6 @@ import (
 	"vcomputebench/internal/rodinia/nn"
 	"vcomputebench/internal/rodinia/nw"
 	"vcomputebench/internal/rodinia/pathfinder"
-	"vcomputebench/internal/sim"
 	"vcomputebench/internal/spirv"
 	"vcomputebench/internal/vulkan"
 	"vcomputebench/internal/vulkan/vkutil"
@@ -88,7 +87,6 @@ var sets = []sourceSet{
 	{"internal/rodinia/nn", nn.Sources},
 	{"internal/rodinia/nw", nw.Sources},
 	{"internal/rodinia/pathfinder", pathfinder.Sources},
-	{"internal/sim", sim.Sources},
 	{"internal/spirv", spirv.Sources},
 	{"internal/vulkan", vulkan.Sources},
 	{"internal/vulkan/vkutil", vkutil.Sources},

@@ -7,13 +7,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"time"
 
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
 	"vcomputebench/internal/platforms"
-	"vcomputebench/internal/sim"
 	"vcomputebench/internal/stats"
 )
 
@@ -52,9 +52,8 @@ type RunContext struct {
 	// benchmarks need not consult it; long host-side loops may. It can be nil
 	// when a RunContext is constructed by hand in tests.
 	Ctx context.Context
-	// Host is the simulated CPU whose clock the benchmark measures with.
-	Host *sim.Host
-	// Device is the simulated GPU.
+	// Device is the simulated GPU. Its Timeline is the run's clock: the
+	// host time the benchmark measures with and the queues it waits on.
 	Device *hw.Device
 	// Platform identifies the device profile in use.
 	Platform *platforms.Platform
@@ -67,46 +66,45 @@ type RunContext struct {
 	// Validate requests that the benchmark also compute its CPU reference and
 	// verify the device output against it (used by tests; expensive).
 	Validate bool
-
-	// rec captures the run's timing trace when the runner snapshots the cell
-	// for replay (nil otherwise). Stopwatch and Now record through it so the
-	// measurement boundaries survive into the trace.
-	rec *hw.Recorder
 }
 
-// Stopwatch starts a stopwatch on the run's host clock. Under trace recording
-// its start and every Elapsed call are captured as marks, so a replay can
-// recompute the measured interval under a different driver profile.
-func (ctx *RunContext) Stopwatch() *Stopwatch {
-	return &Stopwatch{sw: sim.StartStopwatch(ctx.Host), rec: ctx.rec, start: ctx.rec.Mark()}
-}
-
-// Now returns the current host time, recording the observation in the run's
-// timing trace. Benchmarks must use it — not ctx.Host.Now() — for any value
-// they place in a Result (e.g. TotalTime), so snapshot replay can rebind it.
-func (ctx *RunContext) Now() time.Duration {
-	v := ctx.Host.Now()
-	if ctx.rec != nil {
-		ctx.rec.ReadHostMark(ctx.rec.Mark(), v)
+// NewRunContext builds the context of one run: a fresh device of the
+// platform for the API, whose timeline starts at zero. Every run — measured,
+// snapshotted or ad hoc — is built here.
+func NewRunContext(p *platforms.Platform, api hw.API, w Workload, seed int64) (*RunContext, error) {
+	dev, err := p.NewDevice(api)
+	if err != nil {
+		return nil, fmt.Errorf("core: creating device for %s: %w", p.ID, err)
 	}
-	return v
+	return &RunContext{Device: dev, Platform: p, API: api, Workload: w, Seed: seed}, nil
+}
+
+// Stopwatch starts a stopwatch on the run's host clock. Its start and every
+// Elapsed call are timeline marks, so a replay can recompute the measured
+// interval under a different driver profile.
+func (ctx *RunContext) Stopwatch() *Stopwatch {
+	tl := ctx.Device.Timeline()
+	return &Stopwatch{tl: tl, start: tl.Mark()}
+}
+
+// Now returns the current host time as a timeline reading. Benchmarks must
+// use it for any host time they place in a Result (e.g. TotalTime), so
+// snapshot replay can rebind it.
+func (ctx *RunContext) Now() time.Duration {
+	tl := ctx.Device.Timeline()
+	return tl.ReadHostMark(tl.Mark())
 }
 
 // Stopwatch measures an interval of host virtual time (the paper's
-// std::chrono usage), emitting trace marks when the run is being recorded.
+// std::chrono usage) between two timeline marks.
 type Stopwatch struct {
-	sw    *sim.Stopwatch
-	rec   *hw.Recorder
+	tl    *hw.Timeline
 	start int32
 }
 
 // Elapsed returns the virtual time elapsed since the stopwatch started.
 func (s *Stopwatch) Elapsed() time.Duration {
-	v := s.sw.Elapsed()
-	if s.rec != nil {
-		s.rec.ReadMarkDiff(s.start, s.rec.Mark(), v)
-	}
-	return v
+	return s.tl.ReadMarkDiff(s.start, s.tl.Mark())
 }
 
 // Result is the outcome of one benchmark run. The JSON tags are part of the

@@ -47,13 +47,10 @@ func dispatchBench(name string, apis []hw.API, workloads []core.Workload, dispat
 		if err != nil {
 			return nil, err
 		}
-		var end time.Duration
 		for i := 0; i < dispatches; i++ {
-			run, err := q.ExecuteKernel(end, ctx.API, prog, kernels.DispatchConfig{Groups: kernels.D1(1)}, hw.Cost{})
-			if err != nil {
+			if _, err := q.ExecuteKernel(prog, kernels.DispatchConfig{Groups: kernels.D1(1)}, hw.Cost{}); err != nil {
 				return nil, err
 			}
-			end = run.End
 		}
 		n := ctx.Workload.Param("n", 1)
 		base := time.Duration(n) * time.Microsecond

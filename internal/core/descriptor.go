@@ -8,7 +8,6 @@ import (
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
 	"vcomputebench/internal/platforms"
-	"vcomputebench/internal/sim"
 )
 
 // Family groups workloads by their role in the study: the nine Rodinia ports
@@ -268,36 +267,23 @@ func Names() []string {
 // workloads report achieved GB/s (useful bytes over kernel time).
 const ExtraBandwidthGBps = "bandwidth_gbps"
 
-// TraceCounters executes one run of the benchmark with a trace recorder
-// attached and returns the per-dispatch kernel counters summed over every
-// kernel event, along with the number of kernel dispatches observed. It is the
+// TraceCounters executes one run of the benchmark and returns the
+// per-dispatch kernel counters summed over every kernel event of its
+// timeline, along with the number of kernel dispatches observed. It is the
 // measurement side of TrafficModel validation: tests compare the returned
 // GlobalLoadBytes/GlobalStoreBytes and dispatch count against the analytic
 // model.
 func TraceCounters(p *platforms.Platform, b Benchmark, api hw.API, w Workload, seed int64) (kernels.Counters, int, error) {
-	dev, err := p.NewDevice()
+	ctx, err := NewRunContext(p, api, w, seed)
 	if err != nil {
-		return kernels.Counters{}, 0, fmt.Errorf("core: creating device for %s: %w", p.ID, err)
-	}
-	host := sim.NewHost()
-	rec := hw.NewRecorder(api)
-	dev.SetRecorder(rec)
-	host.SetTraceSink(rec)
-	ctx := &RunContext{
-		Host:     host,
-		Device:   dev,
-		Platform: p,
-		API:      api,
-		Workload: w,
-		Seed:     seed,
-		rec:      rec,
+		return kernels.Counters{}, 0, err
 	}
 	if _, err := b.Run(ctx); err != nil {
 		return kernels.Counters{}, 0, err
 	}
 	var sum kernels.Counters
 	dispatches := 0
-	for _, ev := range rec.Trace().Events {
+	for _, ev := range ctx.Device.Timeline().Trace().Events {
 		if ev.Kind != hw.EvKernel {
 			continue
 		}

@@ -70,7 +70,7 @@ func newSnapshot(p *platforms.Platform, b Benchmark, api hw.API, w Workload,
 	tIdx, ok := bindHostMarkReading(tr, totalTime)
 	if !ok {
 		return nil, fmt.Errorf("core: %s/%s on %s (%s): total time %v matches no host-time reading; "+
-			"use ctx.Now() (not ctx.Host.Now()) for Result.TotalTime so the cell can be replayed",
+			"use ctx.Now() for Result.TotalTime so the cell can be replayed",
 			b.Name(), api, p.ID, w.Label, totalTime)
 	}
 	s := &Snapshot{

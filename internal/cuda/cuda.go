@@ -17,7 +17,6 @@ import (
 
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
-	"vcomputebench/internal/sim"
 )
 
 // Errors mirroring cudaError_t values.
@@ -33,73 +32,39 @@ var (
 
 const hostCallOverhead = 150 * time.Nanosecond
 
+// hostCall is the timeline cost of a cheap runtime call.
+var hostCall = hw.FixedCost(hostCallOverhead)
+
 // Context is the per-device runtime state (the implicit primary context of the
 // CUDA runtime API).
 type Context struct {
-	host    *sim.Host
-	dev     *hw.Device
-	drv     hw.DriverProfile
-	rec     *hw.Recorder
-	def     *Stream
-	streams int
+	dev *hw.Device
+	tl  *hw.Timeline
+	def *Stream
 }
 
 // NewContext initialises the CUDA runtime on the device (cudaSetDevice plus
-// lazy context creation). It fails if the device has no CUDA driver, as is the
-// case for every non-NVIDIA platform in the paper.
-func NewContext(host *sim.Host, dev *hw.Device) (*Context, error) {
-	if host == nil || dev == nil {
+// lazy context creation). It fails unless the device's run goes through the
+// CUDA driver, which only the NVIDIA platforms of the paper ship.
+func NewContext(dev *hw.Device) (*Context, error) {
+	if dev == nil {
 		return nil, ErrInvalidValue
 	}
-	drv, err := dev.Driver(hw.APICUDA)
-	if err != nil {
+	if dev.API() != hw.APICUDA {
 		return nil, fmt.Errorf("%w: %s", ErrNoDevice, dev.Profile().Name)
 	}
-	ctx := &Context{host: host, dev: dev, drv: drv, rec: dev.Recorder()}
+	ctx := &Context{dev: dev, tl: dev.Timeline()}
 	hq, err := dev.Queue(hw.QueueCompute, 0)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoDevice, err)
 	}
-	ctx.def = &Stream{ctx: ctx, hw: hq, id: 0}
-	host.Spend("cudaSetDevice", 30*time.Microsecond)
+	ctx.def = &Stream{ctx: ctx, hw: hq}
+	ctx.tl.Spend(hw.FixedCost(30 * time.Microsecond))
 	return ctx, nil
 }
 
-// Host returns the simulated host.
-func (c *Context) Host() *sim.Host { return c.host }
-
 // Device returns the underlying simulated device.
 func (c *Context) Device() *hw.Device { return c.dev }
-
-// DeviceProperties is the subset of cudaDeviceProp used by the benchmarks.
-type DeviceProperties struct {
-	Name                 string
-	MultiProcessorCount  int
-	ClockRateKHz         int
-	WarpSize             int
-	TotalGlobalMem       int64
-	SharedMemPerBlock    int
-	MaxThreadsPerBlock   int
-	MemoryBandwidthGBps  float64
-	RuntimeVersionString string
-}
-
-// GetDeviceProperties returns the device properties.
-func (c *Context) GetDeviceProperties() DeviceProperties {
-	c.host.Spend("cudaGetDeviceProperties", hostCallOverhead)
-	p := c.dev.Profile()
-	return DeviceProperties{
-		Name:                 p.Name,
-		MultiProcessorCount:  p.ComputeUnits,
-		ClockRateKHz:         p.CoreClockMHz * 1000,
-		WarpSize:             p.WarpSize,
-		TotalGlobalMem:       p.DeviceMemBytes,
-		SharedMemPerBlock:    p.SharedMemPerCUBytes,
-		MaxThreadsPerBlock:   p.MaxWorkgroupInvocations,
-		MemoryBandwidthGBps:  p.PeakBandwidthGBps,
-		RuntimeVersionString: c.drv.Version,
-	}
-}
 
 // DevicePtr is device memory allocated with Malloc (the device pointer of
 // cudaMalloc).
@@ -122,8 +87,7 @@ func (c *Context) Malloc(size int64) (*DevicePtr, error) {
 	if size <= 0 {
 		return nil, ErrInvalidValue
 	}
-	c.rec.NextSpend(hw.KnobCost(hw.KnobAlloc))
-	c.host.Spend("cudaMalloc", c.drv.AllocOverhead)
+	c.tl.Spend(hw.KnobCost(hw.KnobAlloc))
 	alloc, err := c.dev.Memory().Allocate(hw.HeapDeviceLocal, size)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMemoryAllocation, err)
@@ -136,7 +100,7 @@ func (c *Context) Free(p *DevicePtr) error {
 	if p == nil {
 		return ErrInvalidDevicePointer
 	}
-	c.host.Spend("cudaFree", hostCallOverhead)
+	c.tl.Spend(hostCall)
 	return c.dev.Memory().Free(p.alloc)
 }
 
@@ -149,11 +113,9 @@ func (c *Context) MemcpyHtoD(dst *DevicePtr, src kernels.Words) error {
 	if len(src) > len(dst.alloc.Words()) {
 		return fmt.Errorf("%w: copy of %d words into allocation of %d words", ErrInvalidValue, len(src), len(dst.alloc.Words()))
 	}
-	c.host.Spend("cudaMemcpy(HtoD)", hostCallOverhead)
+	c.tl.Spend(hostCall)
 	copy(dst.alloc.Words(), src)
-	_, end := c.def.hw.ExecuteTransfer(c.host.Now(), int64(len(src))*4)
-	c.rec.WaitQueue(c.def.hw.Slot())
-	c.host.WaitUntil(end)
+	c.tl.Wait(c.def.hw.ExecuteTransfer(int64(len(src)) * 4))
 	return nil
 }
 
@@ -162,11 +124,9 @@ func (c *Context) MemcpyDtoH(dst kernels.Words, src *DevicePtr) error {
 	if src == nil {
 		return ErrInvalidDevicePointer
 	}
-	c.host.Spend("cudaMemcpy(DtoH)", hostCallOverhead)
+	c.tl.Spend(hostCall)
 	copy(dst, src.alloc.Words())
-	_, end := c.def.hw.ExecuteTransfer(c.host.Now(), int64(len(dst))*4)
-	c.rec.WaitQueue(c.def.hw.Slot())
-	c.host.WaitUntil(end)
+	c.tl.Wait(c.def.hw.ExecuteTransfer(int64(len(dst)) * 4))
 	return nil
 }
 
@@ -178,7 +138,7 @@ type Module struct {
 
 // LoadModule returns the module of kernels linked into the application.
 func (c *Context) LoadModule() *Module {
-	c.host.Spend("cuModuleLoad", 40*time.Microsecond)
+	c.tl.Spend(hw.FixedCost(40 * time.Microsecond))
 	return &Module{ctx: c}
 }
 
@@ -190,7 +150,7 @@ type Kernel struct {
 
 // GetKernel resolves a __global__ function by name.
 func (m *Module) GetKernel(name string) (*Kernel, error) {
-	m.ctx.host.Spend("cuModuleGetFunction", hostCallOverhead)
+	m.ctx.tl.Spend(hostCall)
 	prog, err := kernels.Lookup(name)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidDeviceFunction, err)
@@ -212,27 +172,10 @@ type Args struct {
 type Stream struct {
 	ctx *Context
 	hw  *hw.Queue
-	id  int
 }
 
 // DefaultStream returns the legacy default stream.
 func (c *Context) DefaultStream() *Stream { return c.def }
-
-// StreamCreate creates an additional stream. Streams beyond the number of
-// hardware compute queues share the last queue.
-func (c *Context) StreamCreate() (*Stream, error) {
-	c.host.Spend("cudaStreamCreate", hostCallOverhead)
-	c.streams++
-	idx := c.streams
-	if idx >= c.dev.QueueCount(hw.QueueCompute) {
-		idx = c.dev.QueueCount(hw.QueueCompute) - 1
-	}
-	hq, err := c.dev.Queue(hw.QueueCompute, idx)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidValue, err)
-	}
-	return &Stream{ctx: c, hw: hq, id: c.streams}, nil
-}
 
 // Launch launches the kernel with the given grid of thread blocks
 // (kernel<<<grid, block>>> where block is fixed by the kernel's declaration).
@@ -260,10 +203,9 @@ func (s *Stream) Launch(k *Kernel, grid kernels.Dim3, block kernels.Dim3, args A
 		}
 		buffers[i] = b.alloc.Words()
 	}
-	s.ctx.rec.NextSpend(hw.KnobCost(hw.KnobKernelLaunch))
-	s.ctx.host.Spend("cudaLaunchKernel", s.ctx.drv.KernelLaunchOverhead)
+	s.ctx.tl.Spend(hw.KnobCost(hw.KnobKernelLaunch))
 	cfg := kernels.DispatchConfig{Groups: grid, Buffers: buffers, Push: args.Values}
-	_, err := s.hw.ExecuteKernel(s.ctx.host.Now(), hw.APICUDA, k.prog, cfg, hw.KnobCost(hw.KnobPipelineBind))
+	_, err := s.hw.ExecuteKernel(k.prog, cfg, hw.KnobCost(hw.KnobPipelineBind))
 	if err != nil {
 		// %w on the cause as well: fault classification must survive the
 		// API-level error translation.
@@ -277,47 +219,29 @@ func (s *Stream) Launch(k *Kernel, grid kernels.Dim3, block kernels.Dim3, args A
 // (interrupt delivery, thread wake-up), which the multi-kernel method incurs
 // once per iteration.
 func (s *Stream) Synchronize() {
-	s.ctx.host.Spend("cudaStreamSynchronize", hostCallOverhead)
-	s.ctx.rec.WaitQueue(s.hw.Slot())
-	s.ctx.host.WaitUntil(s.hw.AvailableAt())
-	s.ctx.rec.NextSpend(hw.KnobCost(hw.KnobSync))
-	s.ctx.host.Spend("sync-latency", s.ctx.drv.SyncLatency)
-}
-
-// DeviceSynchronize blocks until all streams drain.
-func (c *Context) DeviceSynchronize() {
-	c.host.Spend("cudaDeviceSynchronize", hostCallOverhead)
-	for i := 0; i < c.dev.QueueCount(hw.QueueCompute); i++ {
-		q, err := c.dev.Queue(hw.QueueCompute, i)
-		if err == nil {
-			c.rec.WaitQueue(q.Slot())
-			c.host.WaitUntil(q.AvailableAt())
-		}
-	}
-	c.rec.NextSpend(hw.KnobCost(hw.KnobSync))
-	c.host.Spend("sync-latency", c.drv.SyncLatency)
+	s.ctx.tl.Spend(hostCall)
+	s.ctx.tl.WaitQueue(s.hw.Slot())
+	s.ctx.tl.Spend(hw.KnobCost(hw.KnobSync))
 }
 
 // Event marks a point in a stream, usable for device-side timing
 // (cudaEventElapsedTime).
 type Event struct {
 	ctx  *Context
-	when time.Duration
 	mark int32
 	set  bool
 }
 
 // EventCreate creates an event.
 func (c *Context) EventCreate() *Event {
-	c.host.Spend("cudaEventCreate", hostCallOverhead)
+	c.tl.Spend(hostCall)
 	return &Event{ctx: c}
 }
 
 // Record records the event at the current end of the stream.
 func (e *Event) Record(s *Stream) {
-	e.ctx.host.Spend("cudaEventRecord", hostCallOverhead)
-	e.when = s.hw.AvailableAt()
-	e.mark = e.ctx.rec.QueueMark(s.hw.Slot())
+	e.ctx.tl.Spend(hostCall)
+	e.mark = e.ctx.tl.QueueMark(s.hw.Slot())
 	e.set = true
 }
 
@@ -326,7 +250,5 @@ func (e *Event) Elapsed(since *Event) (time.Duration, error) {
 	if !e.set || !since.set {
 		return 0, fmt.Errorf("%w: elapsed time of unrecorded events", ErrInvalidValue)
 	}
-	v := e.when - since.when
-	e.ctx.rec.ReadEndDiff(since.mark, e.mark, v)
-	return v, nil
+	return e.ctx.tl.ReadEndDiff(since.mark, e.mark), nil
 }

@@ -11,7 +11,6 @@ import (
 	"vcomputebench/internal/platforms"
 	"vcomputebench/internal/report"
 	"vcomputebench/internal/rodinia"
-	"vcomputebench/internal/sim"
 )
 
 // iterativeAdd is a small iterative workload (repeated vector additions with a
@@ -63,17 +62,9 @@ func (a *iterativeAdd) NextPhase(phase int, io rodinia.IO) ([]rodinia.Step, erro
 // runIterativeAdd executes the ablation workload under Vulkan on a fresh
 // device of the platform and returns the measured kernel-phase time.
 func runIterativeAdd(p *platforms.Platform, seed int64, n, iters int, separate bool) (time.Duration, error) {
-	dev, err := p.NewDevice()
+	ctx, err := core.NewRunContext(p, hw.APIVulkan, core.Workload{Label: "ablation"}, seed)
 	if err != nil {
 		return 0, err
-	}
-	ctx := &core.RunContext{
-		Host:     sim.NewHost(),
-		Device:   dev,
-		Platform: p,
-		API:      hw.APIVulkan,
-		Workload: core.Workload{Label: "ablation"},
-		Seed:     seed,
 	}
 	alg := &iterativeAdd{
 		n:        n,

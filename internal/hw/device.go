@@ -2,14 +2,13 @@ package hw
 
 import (
 	"fmt"
-	"time"
 
 	"vcomputebench/internal/kernels"
-	"vcomputebench/internal/sim"
 )
 
-// Device is a simulated GPU: a validated profile, a memory system, and a set
-// of queues (execution engines).
+// Device is a simulated GPU serving one benchmark run: a validated profile,
+// a memory system, a set of in-order queues, and the run's Timeline, whose
+// host clock and queue availability every API front end steps.
 type Device struct {
 	profile Profile
 	mem     *MemorySystem
@@ -19,10 +18,9 @@ type Device struct {
 	// its per-cell core budget so concurrent benchmark cells do not
 	// oversubscribe the machine; counters are identical for any value.
 	dispatchParallelism int
-	// rec, when non-nil, captures every unit of device work as a symbolic
-	// trace event for later replay (see trace.go). Queue methods record
-	// through it; nil disables recording at zero cost.
-	rec *Recorder
+	// tl is the run's simulated clock (see trace.go): queue methods schedule
+	// on it, and the API front ends spend host time and wait through it.
+	tl *Timeline
 	// faultHook, when non-nil, is consulted before every kernel dispatch; a
 	// non-nil return aborts the dispatch with that error, exactly as a driver
 	// failure would. The runner installs it to enforce per-cell deadlines and
@@ -30,10 +28,11 @@ type Device struct {
 	faultHook func() error
 }
 
-// NewDevice constructs a simulated device from a profile. The device exposes
-// two compute queues and one transfer queue, matching the queue-family model
-// described in §III-B.
-func NewDevice(p Profile) (*Device, error) {
+// NewDevice constructs a simulated device from a profile for one run through
+// the given API, whose driver profile values every cost on the device's
+// timeline. The device exposes two compute queues and one transfer queue,
+// matching the queue-family model described in §III-B.
+func NewDevice(p Profile, api API) (*Device, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -46,6 +45,11 @@ func NewDevice(p Profile) (*Device, error) {
 		mem:     NewMemorySystem(p.DeviceMemBytes, hostVisible),
 		queues:  make(map[QueueKind][]*Queue),
 	}
+	tl, err := newTimeline(&d.profile, api)
+	if err != nil {
+		return nil, err
+	}
+	d.tl = tl
 	d.addQueue(QueueCompute)
 	d.addQueue(QueueCompute)
 	d.addQueue(QueueTransfer)
@@ -59,18 +63,12 @@ func (d *Device) addQueue(kind QueueKind) *Queue {
 		slot += len(qs)
 	}
 	if slot >= maxQueueSlots {
-		// The trace recorder and replay index per-queue state by slot in
-		// fixed-size arrays; failing here keeps a future many-queue profile
-		// from panicking deep inside a recorded run instead.
+		// The timeline indexes per-queue state by slot in fixed-size arrays;
+		// failing here keeps a future many-queue profile from panicking deep
+		// inside a run instead.
 		panic(fmt.Sprintf("hw: device %q exceeds the %d trace queue slots", d.profile.Name, maxQueueSlots))
 	}
-	q := &Queue{
-		dev:    d,
-		kind:   kind,
-		index:  idx,
-		slot:   uint8(slot),
-		engine: sim.NewEngine(fmt.Sprintf("%s:%s%d", d.profile.Name, kind, idx)),
-	}
+	q := &Queue{dev: d, kind: kind, index: idx, slot: uint8(slot)}
 	d.queues[kind] = append(d.queues[kind], q)
 	return q
 }
@@ -90,14 +88,15 @@ func (d *Device) SetDispatchParallelism(n int) {
 // DispatchParallelism returns the per-dispatch worker budget (0 = GOMAXPROCS).
 func (d *Device) DispatchParallelism() int { return d.dispatchParallelism }
 
-// SetRecorder attaches a trace recorder: every kernel, transfer and occupy
-// scheduled on the device's queues is captured for replay. nil detaches.
-func (d *Device) SetRecorder(r *Recorder) { d.rec = r }
+// Timeline returns the run's simulated clock. API front ends fetch it once
+// at context/device creation and spend, wait and read through it.
+func (d *Device) Timeline() *Timeline { return d.tl }
 
-// Recorder returns the attached trace recorder (nil when not recording). API
-// front ends fetch it once at context/device creation and record host-side
-// events (knob-tagged spends, waits, readings) through it.
-func (d *Device) Recorder() *Recorder { return d.rec }
+// API returns the API the device's run goes through.
+func (d *Device) API() API { return d.tl.api }
+
+// Driver returns the driver profile of the run's API.
+func (d *Device) Driver() DriverProfile { return d.tl.drv }
 
 // SetFaultHook installs (or, with nil, removes) the pre-dispatch hook every
 // ExecuteKernel consults. The hook runs on the dispatching goroutine before
@@ -120,42 +119,12 @@ func (d *Device) Queue(kind QueueKind, index int) (*Queue, error) {
 	return qs[index], nil
 }
 
-// Driver returns the driver profile for the API or an error if the API is not
-// supported on this device.
-func (d *Device) Driver(api API) (DriverProfile, error) {
-	drv, ok := d.profile.Driver(api)
-	if !ok {
-		return DriverProfile{}, fmt.Errorf("hw: device %q does not support %s", d.profile.Name, api)
-	}
-	return drv, nil
-}
-
-// Reset clears all queue occupancy. The benchmark runner uses it between
-// repetitions so measurements start from an idle device.
-func (d *Device) Reset() {
-	for _, qs := range d.queues {
-		for _, q := range qs {
-			q.engine.Reset()
-		}
-	}
-}
-
-// KernelRun reports the outcome of executing one dispatch on a queue.
-type KernelRun struct {
-	Program  string
-	Start    time.Duration
-	End      time.Duration
-	Exec     time.Duration
-	Counters kernels.Counters
-}
-
 // Queue is an in-order execution engine of the device.
 type Queue struct {
-	dev    *Device
-	kind   QueueKind
-	index  int
-	slot   uint8
-	engine *sim.Engine
+	dev   *Device
+	kind  QueueKind
+	index int
+	slot  uint8
 }
 
 // Kind returns the queue's functionality class.
@@ -164,35 +133,27 @@ func (q *Queue) Kind() QueueKind { return q.kind }
 // Index returns the queue index within its family.
 func (q *Queue) Index() int { return q.index }
 
-// Slot returns the queue's device-wide trace slot (its position in device
-// queue-creation order), used to key recorded events and waits.
+// Slot returns the queue's device-wide timeline slot (its position in device
+// queue-creation order), used to key scheduled events and waits.
 func (q *Queue) Slot() uint8 { return q.slot }
 
 // Device returns the owning device.
 func (q *Queue) Device() *Device { return q.dev }
 
-// AvailableAt reports when the queue becomes idle.
-func (q *Queue) AvailableAt() time.Duration { return q.engine.AvailableAt() }
-
 // ExecuteKernel functionally executes the program on the device and schedules
 // its simulated duration (plus extra, the symbolic cost of API-layer device
 // work such as pipeline binds or barriers) on this queue, starting no earlier
-// than earliest. It returns the run record. When a trace recorder is attached
-// the dispatch is captured — program, counters and the symbolic extra cost —
-// so replay can recompute its duration under any driver profile.
-func (q *Queue) ExecuteKernel(earliest time.Duration, api API, prog *kernels.Program,
-	cfg kernels.DispatchConfig, extra Cost) (KernelRun, error) {
+// than the host's current time. It returns the event's timeline index; the
+// event keeps the program, counters and extra cost, so replay can recompute
+// its duration under any driver profile.
+func (q *Queue) ExecuteKernel(prog *kernels.Program, cfg kernels.DispatchConfig, extra Cost) (int32, error) {
 	if h := q.dev.faultHook; h != nil {
 		if err := h(); err != nil {
-			return KernelRun{}, err
+			return -1, err
 		}
 	}
 	if q.kind != QueueCompute && q.kind != QueueGraphics {
-		return KernelRun{}, fmt.Errorf("hw: queue %s%d cannot execute compute work", q.kind, q.index)
-	}
-	drv, err := q.dev.Driver(api)
-	if err != nil {
-		return KernelRun{}, err
+		return -1, fmt.Errorf("hw: queue %s%d cannot execute compute work", q.kind, q.index)
 	}
 	if cfg.WarpSize == 0 {
 		cfg.WarpSize = q.dev.profile.WarpSize
@@ -208,35 +169,19 @@ func (q *Queue) ExecuteKernel(earliest time.Duration, api API, prog *kernels.Pro
 	}
 	counters, err := kernels.Execute(prog, cfg)
 	if err != nil {
-		return KernelRun{}, err
+		return -1, err
 	}
-	exec := KernelDuration(&q.dev.profile, &drv, prog, counters) + extra.Duration(&drv)
-	q.dev.rec.Kernel(q.slot, prog, counters, extra)
-	start, end := q.engine.Schedule(prog.Name, earliest, exec)
-	return KernelRun{
-		Program:  prog.Name,
-		Start:    start,
-		End:      end,
-		Exec:     exec,
-		Counters: *counters,
-	}, nil
+	return q.dev.tl.push(TraceEvent{Kind: EvKernel, Queue: q.slot, Prog: prog, Counters: *counters, Cost: extra}), nil
 }
 
 // ExecuteTransfer schedules a host<->device copy of n bytes on this queue and
-// returns its start and end times.
-func (q *Queue) ExecuteTransfer(earliest time.Duration, n int64) (start, end time.Duration) {
-	d := TransferDuration(&q.dev.profile, n)
-	q.dev.rec.Transfer(q.slot, n)
-	return q.engine.Schedule("transfer", earliest, d)
+// returns the event's timeline index.
+func (q *Queue) ExecuteTransfer(n int64) int32 {
+	return q.dev.tl.push(TraceEvent{Kind: EvTransfer, Queue: q.slot, Bytes: n})
 }
 
 // Occupy schedules opaque device-side work (e.g. a barrier's drain time) of
-// the given symbolic cost on the queue and returns its start and end times.
-func (q *Queue) Occupy(name string, earliest time.Duration, c Cost, api API) (start, end time.Duration) {
-	d := c.Fixed
-	if drv, ok := q.dev.profile.Driver(api); ok {
-		d = c.Duration(&drv)
-	}
-	q.dev.rec.Occupy(q.slot, c)
-	return q.engine.Schedule(name, earliest, d)
+// the given symbolic cost on the queue and returns the event's timeline index.
+func (q *Queue) Occupy(c Cost) int32 {
+	return q.dev.tl.push(TraceEvent{Kind: EvOccupy, Queue: q.slot, Cost: c})
 }

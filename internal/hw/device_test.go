@@ -25,7 +25,7 @@ func TestDispatchParallelismBudget(t *testing.T) {
 	}
 
 	runWith := func(budget int) kernels.Counters {
-		dev, err := platforms.GTX1050Ti().NewDevice()
+		dev, err := platforms.GTX1050Ti().NewDevice(hw.APIVulkan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,12 +38,12 @@ func TestDispatchParallelismBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf := make(kernels.Words, 32*64)
-		run, err := q.ExecuteKernel(0, hw.APIVulkan, prog,
+		ref, err := q.ExecuteKernel(prog,
 			kernels.DispatchConfig{Groups: kernels.D1(32), Buffers: []kernels.Words{buf}}, hw.Cost{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return run.Counters
+		return dev.Timeline().Trace().Events[ref].Counters
 	}
 
 	unbudgeted := runWith(0)
@@ -52,7 +52,7 @@ func TestDispatchParallelismBudget(t *testing.T) {
 		t.Fatalf("counters differ between budget 0 and 1:\n  %+v\n  %+v", unbudgeted, budgeted)
 	}
 
-	dev, err := platforms.GTX1050Ti().NewDevice()
+	dev, err := platforms.GTX1050Ti().NewDevice(hw.APIVulkan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,15 +8,19 @@ import (
 	"vcomputebench/internal/kernels"
 )
 
-// This file is the execute/replay seam of the simulator: while a benchmark
-// runs, a Recorder captures every host-clock advance and every unit of device
-// work as a symbolic TraceEvent whose duration is a *function of the driver
-// profile*, not a number. Replaying the trace under any DriverProfile then
-// reproduces the run's timeline bit-identically to a fresh execution — without
-// re-executing a single workgroup. The expensive part of a measurement
-// (functional kernel execution producing kernels.Counters) is invariant under
-// every timing knob, so a recorded trace turns a calibration sweep of E
-// candidate profiles from E executions into 1 execution + E analytic replays.
+// This file is the simulator's clock and its execute/replay seam. A run's
+// Timeline owns the simulated host time and the availability of every device
+// queue. Each host-clock advance and each unit of device work is appended to
+// it as a TraceEvent whose duration is a *function of the driver profile*,
+// not a number, and the timeline steps its clocks by valuing that event
+// under the run's profile. Replaying the finished trace under any
+// DriverProfile steps a fresh timeline through the same events with the same
+// code, so a replay under the recorded profile reproduces the run exactly —
+// without re-executing a single workgroup. The expensive part of a
+// measurement (functional kernel execution producing kernels.Counters) is
+// invariant under every timing knob, so a recorded trace turns a calibration
+// sweep of E candidate profiles from E executions into 1 execution + E
+// analytic replays.
 //
 // What is profile-dependent and what is not:
 //
@@ -59,9 +63,9 @@ func (k Knob) value(drv *DriverProfile) time.Duration {
 }
 
 // Cost is a symbolic duration: a fixed part plus integer counts of driver
-// knobs. Valuation multiplies each count by the knob's current profile value,
-// exactly mirroring how the API layers compute the same durations inline
-// (e.g. time.Duration(n) * drv.JITCompileTime).
+// knobs. Valuation multiplies each count by the knob's current profile value
+// (e.g. n * drv.JITCompileTime for a build of n kernels). The API front ends
+// never value knobs themselves: they hand costs to the run's Timeline.
 type Cost struct {
 	Fixed  time.Duration
 	Counts [knobCount]int32
@@ -121,15 +125,15 @@ type EventKind uint8
 
 // Trace event kinds.
 const (
-	// EvSpend advances the host clock by Cost (clamped at zero, like
-	// sim.Host.Spend ignores non-positive durations).
+	// EvSpend advances the host clock by Cost; non-positive valuations
+	// leave it where it is.
 	EvSpend EventKind = iota
 	// EvKernel schedules KernelDuration(prog, counters) + Cost on a queue.
 	EvKernel
 	// EvTransfer schedules TransferDuration(bytes) on a queue.
 	EvTransfer
-	// EvOccupy schedules Cost on a queue (clamped at zero, like
-	// sim.Engine.Schedule clamps negative durations).
+	// EvOccupy schedules Cost on a queue. Every scheduled duration is
+	// clamped at zero (see DebugNegativeDurations).
 	EvOccupy
 	// EvWait advances the host clock to the end of event Ref (no-op for a
 	// negative Ref, which denotes an empty queue at record time).
@@ -179,176 +183,210 @@ type Reading struct {
 	Value time.Duration
 }
 
-// Recorder captures the trace of one benchmark run. All methods are safe on a
-// nil receiver (no-ops), so instrumented code paths need no conditionals. A
-// Recorder is not safe for concurrent use; a benchmark run's host code is
-// single-threaded, which is what it records.
-type Recorder struct {
-	api         API
-	events      []TraceEvent
-	readings    []Reading
-	lastByQueue [maxQueueSlots]int32
-	next        Cost // pending symbolic tag for the next HostSpend
-	nextSet     bool
-}
-
 // maxQueueSlots bounds the number of device queues a trace distinguishes
 // (devices expose 3; slots beyond the bound would be a programming error).
 const maxQueueSlots = 8
 
-// NewRecorder returns an empty recorder for a run using the given API.
-func NewRecorder(api API) *Recorder {
-	r := &Recorder{api: api}
-	for i := range r.lastByQueue {
-		r.lastByQueue[i] = -1
-	}
-	return r
+// DebugNegativeDurations makes the timeline panic when asked to schedule work
+// of negative duration instead of clamping it to zero. A negative duration
+// always means a timing-model bug (the model produced "work" that takes less
+// than no time); tests and debug runs set this to make such bugs loud. It
+// must be toggled before any timeline runs.
+var DebugNegativeDurations = false
+
+// Timeline is the simulated clock of one benchmark run: the host time, the
+// availability of every device queue, and the trace of every event and
+// reading that moved or observed them. Each method appends its event or
+// reading and returns the resulting value, computed by the same step and
+// evaluation code Trace.Replay runs. A Timeline is not safe for concurrent
+// use; a benchmark run's host code is single-threaded.
+type Timeline struct {
+	api      API
+	prof     *Profile
+	drv      DriverProfile
+	events   []TraceEvent
+	readings []Reading
+	// at holds each event's schedule interval: [start, end) for queue work,
+	// a zero-length interval at the host time for marks, zero otherwise.
+	at         []span
+	host       time.Duration
+	avail      [maxQueueSlots]time.Duration
+	last       [maxQueueSlots]int32
+	negClamped int
 }
 
-// NextSpend tags the next host Spend with a symbolic cost. API layers call it
-// immediately before a host.Spend whose duration is a driver-knob valuation;
-// untagged spends are recorded as fixed costs by HostSpend.
-func (r *Recorder) NextSpend(c Cost) {
-	if r == nil {
-		return
+type span struct{ start, end time.Duration }
+
+// newTimeline returns an empty timeline valuing costs under the profile's
+// driver for api.
+func newTimeline(p *Profile, api API) (*Timeline, error) {
+	drv, ok := p.Driver(api)
+	if !ok {
+		return nil, fmt.Errorf("hw: %q has no %s driver", p.Name, api)
 	}
-	r.next = c
-	r.nextSet = true
+	t := &Timeline{api: api, prof: p, drv: drv}
+	for i := range t.last {
+		t.last[i] = -1
+	}
+	return t, nil
 }
 
-// HostSpend implements sim.TraceSink: every host-clock advance lands here.
-func (r *Recorder) HostSpend(d time.Duration) {
-	if r == nil {
-		return
-	}
-	c := FixedCost(d)
-	if r.nextSet {
-		c = r.next
-		r.nextSet = false
-	}
-	r.events = append(r.events, TraceEvent{Kind: EvSpend, Cost: c})
+// push appends an event and steps the clocks through it.
+func (t *Timeline) push(ev TraceEvent) int32 {
+	i := len(t.events)
+	t.events = append(t.events, ev)
+	t.at = append(t.at, span{})
+	t.step(i)
+	return int32(i)
 }
 
-// schedule appends a queue event and tracks it as the queue's latest.
-func (r *Recorder) schedule(ev TraceEvent) int32 {
-	idx := int32(len(r.events))
-	r.events = append(r.events, ev)
-	r.lastByQueue[ev.Queue] = idx
-	return idx
-}
-
-// Kernel records one dispatch: program, counters and the API layer's extra
-// device-time cost.
-func (r *Recorder) Kernel(queue uint8, prog *kernels.Program, counters *kernels.Counters, extra Cost) {
-	if r == nil {
-		return
+// step advances the clocks through event i. It is the one definition of
+// simulated time: live runs call it as each event is appended, Replay calls
+// it over a recorded trace.
+func (t *Timeline) step(i int) {
+	ev := &t.events[i]
+	switch ev.Kind {
+	case EvSpend:
+		if d := ev.Cost.Duration(&t.drv); d > 0 {
+			t.host += d
+		}
+	case EvKernel, EvTransfer, EvOccupy:
+		var d time.Duration
+		switch ev.Kind {
+		case EvKernel:
+			d = KernelDuration(t.prof, &t.drv, ev.Prog, &ev.Counters) + ev.Cost.Duration(&t.drv)
+		case EvTransfer:
+			d = TransferDuration(t.prof, ev.Bytes)
+		case EvOccupy:
+			d = ev.Cost.Duration(&t.drv)
+		}
+		if d < 0 {
+			if DebugNegativeDurations {
+				panic(fmt.Sprintf("hw: event %d on queue slot %d asked to schedule negative duration %v", i, ev.Queue, d))
+			}
+			t.negClamped++
+			d = 0
+		}
+		// In-order queue: work starts once the queue is free, and never
+		// before the host enqueued it.
+		start := max(t.avail[ev.Queue], t.host)
+		t.at[i] = span{start, start + d}
+		t.avail[ev.Queue] = start + d
+		t.last[ev.Queue] = int32(i)
+	case EvWait:
+		if ev.Ref >= 0 && t.at[ev.Ref].end > t.host {
+			t.host = t.at[ev.Ref].end
+		}
+	case EvMark:
+		t.at[i] = span{t.host, t.host}
 	}
-	r.schedule(TraceEvent{Kind: EvKernel, Queue: queue, Prog: prog, Counters: *counters, Cost: extra})
 }
 
-// Transfer records one host<->device copy.
-func (r *Recorder) Transfer(queue uint8, bytes int64) {
-	if r == nil {
-		return
-	}
-	r.schedule(TraceEvent{Kind: EvTransfer, Queue: queue, Bytes: bytes})
+// Spend advances the host clock by the cost valued under the run's profile
+// (API validation, command recording, driver bookkeeping) and returns the
+// new host time. Non-positive valuations leave the clock where it is.
+func (t *Timeline) Spend(c Cost) time.Duration {
+	t.push(TraceEvent{Kind: EvSpend, Cost: c})
+	return t.host
 }
 
-// Occupy records opaque device-side work of symbolic duration.
-func (r *Recorder) Occupy(queue uint8, c Cost) {
-	if r == nil {
-		return
-	}
-	r.schedule(TraceEvent{Kind: EvOccupy, Queue: queue, Cost: c})
+// QueueMark returns the index of the latest event scheduled on the queue
+// slot, or -1 while the queue is still empty. The index denotes "the work
+// this queue has accepted so far": waiting on it drains the queue, and event
+// timers snapshot it (cudaEventRecord).
+func (t *Timeline) QueueMark(slot uint8) int32 { return t.last[slot] }
+
+// Wait blocks the host until the end of the referenced event (a no-op for
+// -1, an empty queue) and returns the host time.
+func (t *Timeline) Wait(ref int32) time.Duration {
+	t.push(TraceEvent{Kind: EvWait, Ref: ref})
+	return t.host
 }
 
-// QueueMark returns the index of the latest event scheduled on the queue, or
-// -1 when the queue is still empty. The index denotes "the work this queue
-// has accepted so far": waiting on it reproduces AvailableAt()-based
-// synchronisation, and event timers snapshot it (cudaEventRecord).
-func (r *Recorder) QueueMark(queue uint8) int32 {
-	if r == nil {
-		return -1
-	}
-	return r.lastByQueue[queue]
+// WaitQueue blocks the host until the queue slot's current work drains.
+func (t *Timeline) WaitQueue(slot uint8) time.Duration { return t.Wait(t.QueueMark(slot)) }
+
+// Mark appends a host-time sample point and returns its event index.
+func (t *Timeline) Mark() int32 { return t.push(TraceEvent{Kind: EvMark}) }
+
+// ReadHostMark observes the absolute host time at mark a.
+func (t *Timeline) ReadHostMark(a int32) time.Duration {
+	return t.read(Reading{Kind: ReadHostMark, A: a})
 }
 
-// Wait records a host wait until the end of the referenced event.
-func (r *Recorder) Wait(ref int32) {
-	if r == nil {
-		return
-	}
-	r.events = append(r.events, TraceEvent{Kind: EvWait, Ref: ref})
+// ReadMarkDiff observes a stopwatch interval: mark b minus mark a.
+func (t *Timeline) ReadMarkDiff(a, b int32) time.Duration {
+	return t.read(Reading{Kind: ReadMarkDiff, A: a, B: b})
 }
 
-// WaitQueue records a host wait until the queue's current work drains.
-func (r *Recorder) WaitQueue(queue uint8) {
-	if r == nil {
-		return
-	}
-	r.Wait(r.QueueMark(queue))
+// ReadSpanSum observes the summed occupancy of the given scheduled events
+// (e.g. a Vulkan submission's per-dispatch execution times).
+func (t *Timeline) ReadSpanSum(refs []int32) time.Duration {
+	return t.read(Reading{Kind: ReadSpanSum, Refs: refs})
 }
 
-// Mark appends a host-time sample point and returns its event index, or -1 on
-// a nil recorder.
-func (r *Recorder) Mark() int32 {
-	if r == nil {
-		return -1
-	}
-	idx := int32(len(r.events))
-	r.events = append(r.events, TraceEvent{Kind: EvMark})
-	return idx
-}
+// ReadSpan observes one scheduled event's occupancy (an OpenCL profiling
+// event's start-to-end duration).
+func (t *Timeline) ReadSpan(ref int32) time.Duration { return t.ReadSpanSum([]int32{ref}) }
 
-// ReadHostMark records an absolute host-time observation at mark a.
-func (r *Recorder) ReadHostMark(a int32, v time.Duration) {
-	if r == nil {
-		return
-	}
-	r.readings = append(r.readings, Reading{Kind: ReadHostMark, A: a, Value: v})
-}
-
-// ReadMarkDiff records a stopwatch observation between marks a and b.
-func (r *Recorder) ReadMarkDiff(a, b int32, v time.Duration) {
-	if r == nil {
-		return
-	}
-	r.readings = append(r.readings, Reading{Kind: ReadMarkDiff, A: a, B: b, Value: v})
-}
-
-// ReadSpanSum records an observation of the summed occupancy of the given
-// scheduled events (e.g. a Vulkan submission's per-dispatch execution times).
-func (r *Recorder) ReadSpanSum(refs []int32, v time.Duration) {
-	if r == nil {
-		return
-	}
-	r.readings = append(r.readings, Reading{Kind: ReadSpanSum, Refs: refs, Value: v})
-}
-
-// ReadSpan records an observation of one scheduled event's occupancy (an
-// OpenCL profiling event's start-to-end duration).
-func (r *Recorder) ReadSpan(ref int32, v time.Duration) {
-	if r == nil {
-		return
-	}
-	r.ReadSpanSum([]int32{ref}, v)
-}
-
-// ReadEndDiff records an observation of end(b) - end(a) (device event
+// ReadEndDiff observes end(b) - end(a) of two scheduled events (device event
 // timers); a or b may be -1 for "queue was empty", i.e. time zero.
-func (r *Recorder) ReadEndDiff(a, b int32, v time.Duration) {
-	if r == nil {
-		return
-	}
-	r.readings = append(r.readings, Reading{Kind: ReadEndDiff, A: a, B: b, Value: v})
+func (t *Timeline) ReadEndDiff(a, b int32) time.Duration {
+	return t.read(Reading{Kind: ReadEndDiff, A: a, B: b})
 }
 
-// Trace returns the recorded trace. The recorder must not be used afterwards.
-func (r *Recorder) Trace() *Trace {
-	if r == nil {
-		return nil
+// read appends a reading with its current value and returns the value.
+func (t *Timeline) read(r Reading) time.Duration {
+	r.Value = t.value(&r)
+	t.readings = append(t.readings, r)
+	return r.Value
+}
+
+// value evaluates a reading against the timeline's event intervals.
+func (t *Timeline) value(r *Reading) time.Duration {
+	switch r.Kind {
+	case ReadHostMark:
+		return t.at[r.A].end
+	case ReadMarkDiff:
+		return t.at[r.B].end - t.at[r.A].end
+	case ReadSpanSum:
+		var sum time.Duration
+		for _, ref := range r.Refs {
+			sum += t.at[ref].end - t.at[ref].start
+		}
+		return sum
+	case ReadEndDiff:
+		var a, b time.Duration
+		if r.A >= 0 {
+			a = t.at[r.A].end
+		}
+		if r.B >= 0 {
+			b = t.at[r.B].end
+		}
+		return b - a
 	}
-	return &Trace{API: r.api, Events: r.events, Readings: r.readings}
+	return 0
+}
+
+// Reading returns the current value of the i-th reading.
+func (t *Timeline) Reading(i int) (time.Duration, error) {
+	if i < 0 || i >= len(t.readings) {
+		return 0, fmt.Errorf("hw: timeline has no reading %d", i)
+	}
+	r := &t.readings[i]
+	if r.Kind > ReadEndDiff {
+		return 0, fmt.Errorf("hw: unknown reading kind %d", r.Kind)
+	}
+	return t.value(r), nil
+}
+
+// NegativeClamps reports how many scheduled durations were negative and got
+// clamped to zero — a nonzero value flags a timing-model bug upstream.
+func (t *Timeline) NegativeClamps() int { return t.negClamped }
+
+// Trace returns the events and readings appended so far.
+func (t *Timeline) Trace() *Trace {
+	return &Trace{API: t.api, Events: t.events, Readings: t.readings}
 }
 
 // Trace is the immutable timing trace of one benchmark run: the event
@@ -367,103 +405,25 @@ func (t *Trace) AddSpanSumReading(refs []int32, v time.Duration) int {
 	return len(t.Readings) - 1
 }
 
-// Replayed is the outcome of replaying a trace under a profile: the replayed
-// timeline, exposed through the quantities readings need.
-type Replayed struct {
-	trace *Trace
-	// start/end are per-event schedule times (zero for non-schedule events);
-	// marks are host-time samples at EvMark events.
-	start, end []time.Duration
-	marks      []time.Duration
-	final      time.Duration
-}
-
-// Replay recomputes the trace's timeline under the given profile. It is a
-// pure function of (trace, profile): no device or host state is touched, so
-// it is safe to call concurrently on a shared trace. The profile must be
+// Replay steps a fresh timeline through the trace under the given profile
+// and returns it; its Reading values are the trace's readings revalued. It
+// is a pure function of (trace, profile): the trace is only read, so it is
+// safe to call concurrently on a shared trace. The profile must be
 // execution-compatible with the one the trace was recorded under (same
 // ExecutionFingerprint); only timing fields — every DriverProfile knob and
 // the device-side timing parameters — may differ.
-func (t *Trace) Replay(p *Profile) (*Replayed, error) {
-	drv, ok := p.Driver(t.API)
-	if !ok {
-		return nil, fmt.Errorf("hw: replay of a %s trace on a profile without a %s driver", t.API, t.API)
+func (t *Trace) Replay(p *Profile) (*Timeline, error) {
+	tl, err := newTimeline(p, t.API)
+	if err != nil {
+		return nil, fmt.Errorf("hw: replay of a %s trace: %w", t.API, err)
 	}
-	rp := &Replayed{
-		trace: t,
-		start: make([]time.Duration, len(t.Events)),
-		end:   make([]time.Duration, len(t.Events)),
-		marks: make([]time.Duration, len(t.Events)),
+	// Full slice expressions: appending to a replayed timeline must copy,
+	// never write into the shared trace.
+	tl.events = t.Events[:len(t.Events):len(t.Events)]
+	tl.readings = t.Readings[:len(t.Readings):len(t.Readings)]
+	tl.at = make([]span, len(t.Events))
+	for i := range tl.events {
+		tl.step(i)
 	}
-	var host time.Duration
-	var avail [maxQueueSlots]time.Duration
-	for i := range t.Events {
-		ev := &t.Events[i]
-		switch ev.Kind {
-		case EvSpend:
-			// sim.Host.Spend ignores non-positive durations.
-			if d := ev.Cost.Duration(&drv); d > 0 {
-				host += d
-			}
-		case EvKernel, EvTransfer, EvOccupy:
-			var d time.Duration
-			switch ev.Kind {
-			case EvKernel:
-				d = KernelDuration(p, &drv, ev.Prog, &ev.Counters) + ev.Cost.Duration(&drv)
-			case EvTransfer:
-				d = TransferDuration(p, ev.Bytes)
-			case EvOccupy:
-				d = ev.Cost.Duration(&drv)
-			}
-			if d < 0 {
-				d = 0 // sim.Engine.Schedule clamps negative durations
-			}
-			start := avail[ev.Queue]
-			if host > start {
-				start = host // every schedule site passes host.Now() as earliest
-			}
-			rp.start[i] = start
-			rp.end[i] = start + d
-			avail[ev.Queue] = rp.end[i]
-		case EvWait:
-			if ev.Ref >= 0 && rp.end[ev.Ref] > host {
-				host = rp.end[ev.Ref]
-			}
-		case EvMark:
-			rp.marks[i] = host
-		}
-	}
-	rp.final = host
-	return rp, nil
-}
-
-// Reading returns the replayed value of the i-th trace reading.
-func (rp *Replayed) Reading(i int) (time.Duration, error) {
-	if i < 0 || i >= len(rp.trace.Readings) {
-		return 0, fmt.Errorf("hw: replay has no reading %d", i)
-	}
-	r := &rp.trace.Readings[i]
-	switch r.Kind {
-	case ReadHostMark:
-		return rp.marks[r.A], nil
-	case ReadMarkDiff:
-		return rp.marks[r.B] - rp.marks[r.A], nil
-	case ReadSpanSum:
-		var sum time.Duration
-		for _, ref := range r.Refs {
-			sum += rp.end[ref] - rp.start[ref]
-		}
-		return sum, nil
-	case ReadEndDiff:
-		var a, b time.Duration
-		if r.A >= 0 {
-			a = rp.end[r.A]
-		}
-		if r.B >= 0 {
-			b = rp.end[r.B]
-		}
-		return b - a, nil
-	default:
-		return 0, fmt.Errorf("hw: unknown reading kind %d", r.Kind)
-	}
+	return tl, nil
 }

@@ -24,6 +24,7 @@
 package lint
 
 import (
+	"fmt"
 	"regexp"
 	"sort"
 	"strings"
@@ -34,7 +35,8 @@ import (
 // Config scopes the analyzers to package sets. Paths are module-relative; an
 // entry ending in "/..." matches the prefix and everything below it. The
 // fixture tests build small configs over testdata trees; DefaultConfig is the
-// real repo contract (TestRepoIsLintClean pins that it matches the tree).
+// real repo contract (TestRepoIsLintClean pins that it matches the tree, and
+// StalePatterns that every pattern still names a package).
 type Config struct {
 	// EmbedPackages must contain a sources.go with `//go:embed *.go` and be
 	// registered in the codeversion sets list.
@@ -92,7 +94,6 @@ func DefaultConfig() Config {
 			"internal/micro",
 			"internal/opencl",
 			"internal/rodinia/...",
-			"internal/sim",
 			"internal/spirv",
 			"internal/vulkan/...",
 		},
@@ -126,7 +127,6 @@ func DefaultConfig() Config {
 			"internal/micro",
 			"internal/opencl",
 			"internal/rodinia/...",
-			"internal/sim",
 			"internal/spirv",
 			"internal/vulkan/...",
 		},
@@ -154,6 +154,39 @@ func Analyzers(cfg Config) []*analysis.Analyzer {
 		FaultWrap(cfg),
 		CounterSync(cfg),
 	}
+}
+
+// StalePatterns reports every package pattern of cfg that matches no
+// package of the world. An analyzer scoped to a deleted or renamed package
+// would otherwise pass silently, so the driver treats each one as a finding.
+func StalePatterns(cfg Config, world *analysis.World) []string {
+	lists := []struct {
+		field    string
+		patterns []string
+	}{
+		{"EmbedPackages", cfg.EmbedPackages},
+		{"EmbedExempt", cfg.EmbedExempt},
+		{"EmbedForbidden", cfg.EmbedForbidden},
+		{"StrictPackages", cfg.StrictPackages},
+		{"SeededPackages", cfg.SeededPackages},
+		{"FaultWrapPackages", cfg.FaultWrapPackages},
+	}
+	var stale []string
+	for _, l := range lists {
+		for _, pat := range l.patterns {
+			matched := false
+			for _, pkg := range world.Packages {
+				if matchPath([]string{pat}, world.Rel(pkg)) {
+					matched = true
+					break
+				}
+			}
+			if !matched {
+				stale = append(stale, fmt.Sprintf("%s pattern %q matches no package", l.field, pat))
+			}
+		}
+	}
+	return stale
 }
 
 // matchPath reports whether rel matches any pattern: exact, or prefix for

@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"reflect"
 	"testing"
 
 	"vcomputebench/internal/lint"
@@ -54,6 +55,30 @@ func TestCounterSyncBad(t *testing.T) {
 	linttest.Run(t, "testdata/countersync/bad", lint.CounterSync(counterCfg()))
 }
 
+// TestStalePatterns: a pattern naming a package that no longer exists, or a
+// prefix with nothing under it, is reported for every scoped config list;
+// exact and prefix patterns that match stay quiet.
+func TestStalePatterns(t *testing.T) {
+	cfg := lint.Config{
+		EmbedPackages:     []string{"live", "tree/...", "gone"},
+		EmbedExempt:       []string{"tree/leaf"},
+		EmbedForbidden:    []string{"tree/gone/..."},
+		StrictPackages:    []string{"live/..."},
+		SeededPackages:    []string{"tree"},
+		FaultWrapPackages: []string{"leaf"},
+	}
+	got := lint.StalePatterns(cfg, linttest.Load(t, "testdata/stalepatterns"))
+	want := []string{
+		`EmbedPackages pattern "gone" matches no package`,
+		`EmbedForbidden pattern "tree/gone/..." matches no package`,
+		`SeededPackages pattern "tree" matches no package`,
+		`FaultWrapPackages pattern "leaf" matches no package`,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("StalePatterns =\n  %q\nwant\n  %q", got, want)
+	}
+}
+
 // TestRepoIsLintClean pins the real contract: the full suite over the live
 // module must report nothing. This is the same run `make lint` performs, so a
 // violation fails both the unit tests and the lint gate.
@@ -68,5 +93,8 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+	for _, s := range lint.StalePatterns(lint.DefaultConfig(), world) {
+		t.Errorf("lint.DefaultConfig: %s", s)
 	}
 }

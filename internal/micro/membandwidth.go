@@ -121,7 +121,7 @@ func runMemBandwidth(ctx *core.RunContext) (*core.Result, error) {
 }
 
 func memBandwidthVulkan(ctx *core.RunContext, threads, nIn, stride, iters int, in []float32) ([]float32, time.Duration, error) {
-	env, err := vkutil.Setup(ctx.Host, ctx.Device)
+	env, err := vkutil.Setup(ctx.Device)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -203,7 +203,7 @@ func memBandwidthVulkan(ctx *core.RunContext, threads, nIn, stride, iters int, i
 }
 
 func memBandwidthCUDA(ctx *core.RunContext, threads, nIn, stride, iters int, in []float32) ([]float32, time.Duration, error) {
-	env, err := bench.SetupCUDA(ctx.Host, ctx.Device)
+	env, err := bench.SetupCUDA(ctx.Device)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -258,7 +258,7 @@ func memBandwidthCUDA(ctx *core.RunContext, threads, nIn, stride, iters int, in 
 }
 
 func memBandwidthOpenCL(ctx *core.RunContext, threads, nIn, stride, iters int, in []float32) ([]float32, time.Duration, error) {
-	env, err := bench.SetupOpenCL(ctx.Host, ctx.Device, KernelStridedRead)
+	env, err := bench.SetupOpenCL(ctx.Device, KernelStridedRead)
 	if err != nil {
 		return nil, 0, err
 	}

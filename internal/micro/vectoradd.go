@@ -91,7 +91,7 @@ func runVectorAdd(ctx *core.RunContext) (*core.Result, error) {
 }
 
 func vectorAddVulkan(ctx *core.RunContext, n int, x, y []float32) ([]float32, time.Duration, error) {
-	env, err := vkutil.Setup(ctx.Host, ctx.Device)
+	env, err := vkutil.Setup(ctx.Device)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -166,7 +166,7 @@ func vectorAddVulkan(ctx *core.RunContext, n int, x, y []float32) ([]float32, ti
 }
 
 func vectorAddCUDA(ctx *core.RunContext, n int, x, y []float32) ([]float32, time.Duration, error) {
-	env, err := bench.SetupCUDA(ctx.Host, ctx.Device)
+	env, err := bench.SetupCUDA(ctx.Device)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -215,7 +215,7 @@ func vectorAddCUDA(ctx *core.RunContext, n int, x, y []float32) ([]float32, time
 }
 
 func vectorAddOpenCL(ctx *core.RunContext, n int, x, y []float32) ([]float32, time.Duration, error) {
-	env, err := bench.SetupOpenCL(ctx.Host, ctx.Device, KernelVectorAdd)
+	env, err := bench.SetupOpenCL(ctx.Device, KernelVectorAdd)
 	if err != nil {
 		return nil, 0, err
 	}

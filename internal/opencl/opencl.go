@@ -5,8 +5,8 @@
 // Characteristic costs modelled here: clBuildProgram performs a JIT
 // compilation of every kernel in the program (the overhead the paper excludes
 // from kernel-time comparisons but cites as a reason total times are worse,
-// §V-A2); every clEnqueueNDRangeKernel pays a launch overhead; events expose
-// the queued/submit/start/end profiling timestamps.
+// §V-A2); every clEnqueueNDRangeKernel pays a launch overhead; profiling
+// events report each command's start-to-end device time.
 package opencl
 
 import (
@@ -17,7 +17,6 @@ import (
 
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
-	"vcomputebench/internal/sim"
 )
 
 // Errors mirroring cl_int error codes.
@@ -35,9 +34,12 @@ var (
 
 const hostCallOverhead = 200 * time.Nanosecond
 
+// hostCall is the timeline cost of a cheap runtime call.
+var hostCall = hw.FixedCost(hostCallOverhead)
+
 // Platform is an OpenCL platform (one per vendor runtime installed).
 type Platform struct {
-	host    *sim.Host
+	tl      *hw.Timeline
 	name    string
 	devices []*Device
 }
@@ -46,32 +48,34 @@ type Platform struct {
 func (p *Platform) Name() string { return p.name }
 
 // GetPlatforms enumerates the OpenCL platforms backed by the given simulated
-// devices. Devices without an OpenCL driver are not exposed. On the Nexus
-// Player the library is not even called libOpenCL.so (paper footnote 3); the
-// platform name records the vendor runtime.
-func GetPlatforms(host *sim.Host, devices ...*hw.Device) ([]*Platform, error) {
-	if host == nil {
-		return nil, ErrInvalidValue
-	}
+// devices. Only devices whose run goes through the OpenCL driver are
+// exposed; the host calls are timed on the first such device's timeline. On
+// the Nexus Player the library is not even called libOpenCL.so (paper
+// footnote 3); the platform name records the vendor runtime.
+func GetPlatforms(devices ...*hw.Device) ([]*Platform, error) {
 	byVendor := map[string]*Platform{}
 	var order []string
+	var tl *hw.Timeline
 	for _, d := range devices {
-		if d == nil || !d.Profile().Supports(hw.APIOpenCL) {
+		if d == nil || d.API() != hw.APIOpenCL {
 			continue
+		}
+		if tl == nil {
+			tl = d.Timeline()
 		}
 		vendor := d.Profile().Vendor
 		p, ok := byVendor[vendor]
 		if !ok {
-			p = &Platform{host: host, name: vendor + " OpenCL Platform"}
+			p = &Platform{tl: tl, name: vendor + " OpenCL Platform"}
 			byVendor[vendor] = p
 			order = append(order, vendor)
 		}
-		p.devices = append(p.devices, &Device{host: host, hw: d})
+		p.devices = append(p.devices, &Device{hw: d})
 	}
-	host.Spend("clGetPlatformIDs", hostCallOverhead)
 	if len(order) == 0 {
 		return nil, ErrDeviceNotFound
 	}
+	tl.Spend(hostCall)
 	out := make([]*Platform, 0, len(order))
 	for _, v := range order {
 		out = append(out, byVendor[v])
@@ -81,13 +85,12 @@ func GetPlatforms(host *sim.Host, devices ...*hw.Device) ([]*Platform, error) {
 
 // Device is an OpenCL device.
 type Device struct {
-	host *sim.Host
-	hw   *hw.Device
+	hw *hw.Device
 }
 
 // GetDevices returns the platform's devices.
 func (p *Platform) GetDevices() ([]*Device, error) {
-	p.host.Spend("clGetDeviceIDs", hostCallOverhead)
+	p.tl.Spend(hostCall)
 	if len(p.devices) == 0 {
 		return nil, ErrDeviceNotFound
 	}
@@ -99,8 +102,7 @@ func (d *Device) Name() string { return d.hw.Profile().Name }
 
 // Version returns the OpenCL version string (CL_DEVICE_VERSION).
 func (d *Device) Version() string {
-	drv, _ := d.hw.Profile().Driver(hw.APIOpenCL)
-	return drv.Version
+	return d.hw.Driver().Version
 }
 
 // GlobalMemSize returns CL_DEVICE_GLOBAL_MEM_SIZE.
@@ -114,10 +116,8 @@ func (d *Device) HW() *hw.Device { return d.hw }
 
 // Context is an OpenCL context over one device.
 type Context struct {
-	host *sim.Host
-	dev  *Device
-	drv  hw.DriverProfile
-	rec  *hw.Recorder
+	dev *Device
+	tl  *hw.Timeline
 }
 
 // CreateContext creates a context for the device.
@@ -125,16 +125,10 @@ func CreateContext(d *Device) (*Context, error) {
 	if d == nil {
 		return nil, ErrInvalidValue
 	}
-	drv, err := d.hw.Driver(hw.APIOpenCL)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDeviceNotFound, err)
-	}
-	d.host.Spend("clCreateContext", 40*time.Microsecond)
-	return &Context{host: d.host, dev: d, drv: drv, rec: d.hw.Recorder()}, nil
+	c := &Context{dev: d, tl: d.hw.Timeline()}
+	c.tl.Spend(hw.FixedCost(40 * time.Microsecond))
+	return c, nil
 }
-
-// Host returns the simulated host.
-func (c *Context) Host() *sim.Host { return c.host }
 
 // MemFlags are cl_mem_flags.
 type MemFlags uint32
@@ -167,8 +161,7 @@ func (c *Context) CreateBuffer(flags MemFlags, size int64, hostData kernels.Word
 	if size <= 0 {
 		return nil, ErrInvalidValue
 	}
-	c.rec.NextSpend(hw.KnobCost(hw.KnobAlloc))
-	c.host.Spend("clCreateBuffer", c.drv.AllocOverhead)
+	c.tl.Spend(hw.KnobCost(hw.KnobAlloc))
 	alloc, err := c.dev.hw.Memory().Allocate(hw.HeapDeviceLocal, size)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMemObjectAllocation, err)
@@ -182,7 +175,7 @@ func (c *Context) CreateBuffer(flags MemFlags, size int64, hostData kernels.Word
 
 // Release releases the buffer.
 func (m *Mem) Release() error {
-	m.ctx.host.Spend("clReleaseMemObject", hostCallOverhead)
+	m.ctx.tl.Spend(hostCall)
 	return m.ctx.dev.hw.Memory().Free(m.alloc)
 }
 
@@ -201,7 +194,7 @@ func (c *Context) CreateProgramWithSource(sources ...string) (*Program, error) {
 	if len(sources) == 0 {
 		return nil, ErrInvalidValue
 	}
-	c.host.Spend("clCreateProgramWithSource", hostCallOverhead)
+	c.tl.Spend(hostCall)
 	return &Program{ctx: c, sources: sources}, nil
 }
 
@@ -222,13 +215,9 @@ func (p *Program) Build(options string) error {
 	}
 	p.names = names
 	p.built = true
-	p.ctx.rec.NextSpend(hw.KnobCostN(hw.KnobJITCompile, len(names)))
-	p.ctx.host.Spend("clBuildProgram", time.Duration(len(names))*p.ctx.drv.JITCompileTime)
+	p.ctx.tl.Spend(hw.KnobCostN(hw.KnobJITCompile, len(names)))
 	return nil
 }
-
-// KernelNames returns the kernels available after a successful build.
-func (p *Program) KernelNames() []string { return append([]string(nil), p.names...) }
 
 // extractKernelNames finds `__kernel void <name>` definitions in OpenCL C
 // source text.
@@ -267,7 +256,7 @@ type Kernel struct {
 
 // CreateKernel creates a kernel object for one entry point of a built program.
 func (p *Program) CreateKernel(name string) (*Kernel, error) {
-	p.ctx.host.Spend("clCreateKernel", hostCallOverhead)
+	p.ctx.tl.Spend(hostCall)
 	if !p.built {
 		return nil, fmt.Errorf("%w: program is not built", ErrInvalidValue)
 	}
@@ -301,8 +290,7 @@ func (k *Kernel) Program() *kernels.Program { return k.kp }
 // SetArgBuffer sets argument index to a buffer. Buffer arguments occupy
 // indices [0, Bindings).
 func (k *Kernel) SetArgBuffer(index int, m *Mem) error {
-	k.prog.ctx.rec.NextSpend(hw.KnobCost(hw.KnobDescriptorUpdate))
-	k.prog.ctx.host.Spend("clSetKernelArg", k.prog.ctx.drv.DescriptorUpdateOverhead)
+	k.prog.ctx.tl.Spend(hw.KnobCost(hw.KnobDescriptorUpdate))
 	if index < 0 || index >= len(k.buffers) {
 		return fmt.Errorf("%w: buffer argument index %d out of range [0,%d)", ErrInvalidArgIndex, index, len(k.buffers))
 	}
@@ -317,8 +305,7 @@ func (k *Kernel) SetArgBuffer(index int, m *Mem) error {
 // SetArgU32 sets a 32-bit scalar argument. Scalar arguments occupy indices
 // [Bindings, Bindings+PushConstantWords).
 func (k *Kernel) SetArgU32(index int, v uint32) error {
-	k.prog.ctx.rec.NextSpend(hw.KnobCost(hw.KnobPushConstant))
-	k.prog.ctx.host.Spend("clSetKernelArg", k.prog.ctx.drv.PushConstantOverhead)
+	k.prog.ctx.tl.Spend(hw.KnobCost(hw.KnobPushConstant))
 	vi := index - k.kp.Bindings
 	if vi < 0 || vi >= len(k.values) {
 		return fmt.Errorf("%w: scalar argument index %d out of range [%d,%d)",
@@ -355,31 +342,21 @@ func (c *Context) CreateCommandQueue(props CommandQueueProperties) (*CommandQueu
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrOutOfResources, err)
 	}
-	c.host.Spend("clCreateCommandQueue", hostCallOverhead)
+	c.tl.Spend(hostCall)
 	return &CommandQueue{ctx: c, hw: hq, profiling: props.Profiling}, nil
 }
 
-// Event carries profiling information about an enqueued command.
+// Event is the profiling handle of an enqueued command: its event on the
+// run's timeline.
 type Event struct {
-	Queued time.Duration
-	Submit time.Duration
-	Start  time.Duration
-	End    time.Duration
-
-	rec *hw.Recorder
+	tl  *hw.Timeline
 	ref int32
 }
 
-// Duration returns the device execution time (start to end). Under trace
-// recording each call is captured as a span reading, so a kernel time summed
-// from profiling events can be rebound during replay.
-func (e *Event) Duration() time.Duration {
-	v := e.End - e.Start
-	if e.rec != nil && e.ref >= 0 {
-		e.rec.ReadSpan(e.ref, v)
-	}
-	return v
-}
+// Duration returns the device execution time (start to end). Each call is a
+// timeline span reading, so a kernel time summed from profiling events can
+// be rebound during replay.
+func (e *Event) Duration() time.Duration { return e.tl.ReadSpan(e.ref) }
 
 // EnqueueWriteBuffer copies host words into a buffer. When blocking, the host
 // waits for the transfer to complete.
@@ -387,16 +364,8 @@ func (q *CommandQueue) EnqueueWriteBuffer(m *Mem, blocking bool, data kernels.Wo
 	if m == nil {
 		return nil, ErrInvalidValue
 	}
-	q.ctx.host.Spend("clEnqueueWriteBuffer", hostCallOverhead)
-	queued := q.ctx.host.Now()
 	copy(m.alloc.Words(), data)
-	start, end := q.hw.ExecuteTransfer(queued, int64(len(data))*4)
-	ref := q.ctx.rec.QueueMark(q.hw.Slot())
-	if blocking {
-		q.ctx.rec.Wait(ref)
-		q.ctx.host.WaitUntil(end)
-	}
-	return &Event{Queued: queued, Submit: queued, Start: start, End: end, rec: q.ctx.rec, ref: ref}, nil
+	return q.transfer(blocking, int64(len(data))*4), nil
 }
 
 // EnqueueReadBuffer copies a buffer into host words.
@@ -404,16 +373,19 @@ func (q *CommandQueue) EnqueueReadBuffer(m *Mem, blocking bool, data kernels.Wor
 	if m == nil {
 		return nil, ErrInvalidValue
 	}
-	q.ctx.host.Spend("clEnqueueReadBuffer", hostCallOverhead)
-	queued := q.ctx.host.Now()
 	copy(data, m.alloc.Words())
-	start, end := q.hw.ExecuteTransfer(queued, int64(len(data))*4)
-	ref := q.ctx.rec.QueueMark(q.hw.Slot())
+	return q.transfer(blocking, int64(len(data))*4), nil
+}
+
+// transfer enqueues a copy of n bytes, waiting for it when blocking.
+func (q *CommandQueue) transfer(blocking bool, n int64) *Event {
+	tl := q.ctx.tl
+	tl.Spend(hostCall)
+	ref := q.hw.ExecuteTransfer(n)
 	if blocking {
-		q.ctx.rec.Wait(ref)
-		q.ctx.host.WaitUntil(end)
+		tl.Wait(ref)
 	}
-	return &Event{Queued: queued, Submit: queued, Start: start, End: end, rec: q.ctx.rec, ref: ref}, nil
+	return &Event{tl: tl, ref: ref}
 }
 
 // EnqueueNDRangeKernel enqueues one kernel execution over the global NDRange.
@@ -451,35 +423,30 @@ func (q *CommandQueue) EnqueueNDRangeKernel(k *Kernel, global, local kernels.Dim
 	for i, m := range k.buffers {
 		buffers[i] = m.alloc.Words()
 	}
-	q.ctx.rec.NextSpend(hw.KnobCost(hw.KnobKernelLaunch))
-	q.ctx.host.Spend("clEnqueueNDRangeKernel", q.ctx.drv.KernelLaunchOverhead)
-	queued := q.ctx.host.Now()
+	q.ctx.tl.Spend(hw.KnobCost(hw.KnobKernelLaunch))
 	groups := kernels.Dim3{X: global.X / local.X, Y: global.Y / local.Y, Z: global.Z / local.Z}
 	cfg := kernels.DispatchConfig{Groups: groups, Buffers: buffers, Push: k.values}
-	run, err := q.hw.ExecuteKernel(queued, hw.APIOpenCL, k.kp, cfg, hw.KnobCost(hw.KnobPipelineBind))
+	ref, err := q.hw.ExecuteKernel(k.kp, cfg, hw.KnobCost(hw.KnobPipelineBind))
 	if err != nil {
 		// %w on the cause as well: fault classification must survive the
 		// API-level error translation.
 		return nil, fmt.Errorf("%w: %w", ErrOutOfResources, err)
 	}
-	ref := q.ctx.rec.QueueMark(q.hw.Slot())
-	return &Event{Queued: queued, Submit: queued, Start: run.Start, End: run.End, rec: q.ctx.rec, ref: ref}, nil
+	return &Event{tl: q.ctx.tl, ref: ref}, nil
 }
 
 // Finish blocks the host until the queue drains (clFinish). Beyond waiting for
 // the device it pays the driver's synchronisation latency, which the
 // multi-kernel method incurs once per iteration.
 func (q *CommandQueue) Finish() {
-	q.ctx.host.Spend("clFinish", hostCallOverhead)
-	q.ctx.rec.WaitQueue(q.hw.Slot())
-	q.ctx.host.WaitUntil(q.hw.AvailableAt())
-	q.ctx.rec.NextSpend(hw.KnobCost(hw.KnobSync))
-	q.ctx.host.Spend("sync-latency", q.ctx.drv.SyncLatency)
+	q.ctx.tl.Spend(hostCall)
+	q.ctx.tl.WaitQueue(q.hw.Slot())
+	q.ctx.tl.Spend(hw.KnobCost(hw.KnobSync))
 }
 
 // Flush is a no-op for the simulated in-order queue (clFlush).
 func (q *CommandQueue) Flush() {
-	q.ctx.host.Spend("clFlush", hostCallOverhead)
+	q.ctx.tl.Spend(hostCall)
 }
 
 func f32bits(v float32) uint32 {

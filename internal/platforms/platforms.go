@@ -62,8 +62,9 @@ func (p *Platform) Clone() *Platform {
 	return &cp
 }
 
-// NewDevice instantiates a fresh simulated device for the platform.
-func (p *Platform) NewDevice() (*hw.Device, error) { return hw.NewDevice(p.Profile) }
+// NewDevice instantiates a fresh simulated device for one run of the
+// platform through the given API.
+func (p *Platform) NewDevice(api hw.API) (*hw.Device, error) { return hw.NewDevice(p.Profile, api) }
 
 // Excluded reports whether the benchmark/API pair is excluded on this
 // platform, along with the reason.

@@ -17,8 +17,10 @@ func TestProfilesValidate(t *testing.T) {
 		if err := p.Profile.Validate(); err != nil {
 			t.Errorf("%s: %v", p.ID, err)
 		}
-		if _, err := p.NewDevice(); err != nil {
-			t.Errorf("%s: NewDevice: %v", p.ID, err)
+		for _, api := range p.Profile.SupportedAPIs() {
+			if _, err := p.NewDevice(api); err != nil {
+				t.Errorf("%s: NewDevice(%s): %v", p.ID, api, err)
+			}
 		}
 	}
 }

@@ -160,7 +160,7 @@ func (io *vkIO) Write(buffer int, data kernels.Words) error {
 }
 
 func runVulkan(ctx *core.RunContext, alg Algorithm, outputs []int) (*Output, error) {
-	env, err := vkutil.Setup(ctx.Host, ctx.Device)
+	env, err := vkutil.Setup(ctx.Device)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +243,7 @@ func runVulkan(ctx *core.RunContext, alg Algorithm, outputs []int) (*Output, err
 				if err != nil {
 					return nil, err
 				}
-				if err := recordStep(cb, pipe, set, step, false); err != nil {
+				if err := recordStep(cb, pipe, set, step); err != nil {
 					return nil, err
 				}
 				if err := cb.End(); err != nil {
@@ -328,7 +328,7 @@ func runVulkan(ctx *core.RunContext, alg Algorithm, outputs []int) (*Output, err
 
 // recordStep records one step into a fresh command buffer (separate-submit
 // mode).
-func recordStep(cb *vulkan.CommandBuffer, pipe *vkutil.Pipeline, set *vulkan.DescriptorSet, step Step, keepOpen bool) error {
+func recordStep(cb *vulkan.CommandBuffer, pipe *vkutil.Pipeline, set *vulkan.DescriptorSet, step Step) error {
 	if err := cb.Begin(); err != nil {
 		return err
 	}
@@ -346,7 +346,6 @@ func recordStep(cb *vulkan.CommandBuffer, pipe *vkutil.Pipeline, set *vulkan.Des
 	if err := cb.CmdDispatch(step.Groups.X, step.Groups.Y, step.Groups.Z); err != nil {
 		return err
 	}
-	_ = keepOpen
 	return nil
 }
 
@@ -378,7 +377,7 @@ func (io *cudaIO) Write(buffer int, data kernels.Words) error {
 }
 
 func runCUDA(ctx *core.RunContext, alg Algorithm, outputs []int) (*Output, error) {
-	env, err := bench.SetupCUDA(ctx.Host, ctx.Device)
+	env, err := bench.SetupCUDA(ctx.Device)
 	if err != nil {
 		return nil, err
 	}
@@ -483,7 +482,7 @@ func (io *clIO) Write(buffer int, data kernels.Words) error {
 }
 
 func runOpenCL(ctx *core.RunContext, alg Algorithm, outputs []int) (*Output, error) {
-	env, err := bench.SetupOpenCL(ctx.Host, ctx.Device, alg.Kernels()...)
+	env, err := bench.SetupOpenCL(ctx.Device, alg.Kernels()...)
 	if err != nil {
 		return nil, err
 	}

@@ -24,12 +24,12 @@ func (d *Device) CreateCommandPool(info CommandPoolCreateInfo) (*CommandPool, er
 	if info.QueueFamilyIndex < 0 || info.QueueFamilyIndex >= len(families) {
 		return nil, fmt.Errorf("%w: queue family %d out of range", ErrValidation, info.QueueFamilyIndex)
 	}
-	d.host.Spend("vkCreateCommandPool", hostCallOverhead)
+	d.tl.Spend(hostCall)
 	return &CommandPool{device: d, family: info.QueueFamilyIndex}, nil
 }
 
 // Destroy destroys the pool.
-func (p *CommandPool) Destroy() { p.device.host.Spend("vkDestroyCommandPool", hostCallOverhead) }
+func (p *CommandPool) Destroy() { p.device.tl.Spend(hostCall) }
 
 // CommandBufferState tracks the command buffer lifecycle.
 type CommandBufferState int
@@ -51,7 +51,6 @@ const (
 	cmdDispatch
 	cmdPipelineBarrier
 	cmdCopyBuffer
-	cmdFillBuffer
 )
 
 // command is one recorded command.
@@ -69,9 +68,6 @@ type command struct {
 	copySrc   *Buffer
 	copyDst   *Buffer
 	copyBytes int64
-
-	fillDst   *Buffer
-	fillValue uint32
 }
 
 // CommandBufferAllocateInfo configures AllocateCommandBuffers.
@@ -99,7 +95,7 @@ func (d *Device) AllocateCommandBuffers(info CommandBufferAllocateInfo) ([]*Comm
 	if info.Count <= 0 {
 		return nil, fmt.Errorf("%w: command buffer count must be positive", ErrValidation)
 	}
-	d.host.Spend("vkAllocateCommandBuffers", hostCallOverhead)
+	d.tl.Spend(hostCall)
 	out := make([]*CommandBuffer, info.Count)
 	for i := range out {
 		out[i] = &CommandBuffer{device: d, pool: info.CommandPool}
@@ -114,7 +110,7 @@ func (cb *CommandBuffer) Begin() error {
 	}
 	cb.state = CommandBufferRecording
 	cb.commands = cb.commands[:0]
-	cb.device.host.Spend("vkBeginCommandBuffer", hostCallOverhead)
+	cb.device.tl.Spend(hostCall)
 	return nil
 }
 
@@ -124,7 +120,7 @@ func (cb *CommandBuffer) End() error {
 		return fmt.Errorf("%w: vkEndCommandBuffer on a command buffer that is not recording", ErrValidation)
 	}
 	cb.state = CommandBufferExecutable
-	cb.device.host.Spend("vkEndCommandBuffer", hostCallOverhead)
+	cb.device.tl.Spend(hostCall)
 	return nil
 }
 
@@ -133,22 +129,18 @@ func (cb *CommandBuffer) End() error {
 func (cb *CommandBuffer) Reset() {
 	cb.state = CommandBufferInitial
 	cb.commands = nil
-	cb.device.host.Spend("vkResetCommandBuffer", hostCallOverhead)
+	cb.device.tl.Spend(hostCall)
 }
 
 // State returns the lifecycle state.
 func (cb *CommandBuffer) State() CommandBufferState { return cb.state }
-
-// CommandCount returns the number of recorded commands.
-func (cb *CommandBuffer) CommandCount() int { return len(cb.commands) }
 
 func (cb *CommandBuffer) record(c command) error {
 	if cb.state != CommandBufferRecording {
 		return fmt.Errorf("%w: command recorded outside Begin/End", ErrValidation)
 	}
 	cb.commands = append(cb.commands, c)
-	cb.device.rec.NextSpend(hw.KnobCost(hw.KnobCommandRecord))
-	cb.device.host.Spend("vkCmd*", cb.device.driver.CommandRecordOverhead)
+	cb.device.tl.Spend(hw.KnobCost(hw.KnobCommandRecord))
 	return nil
 }
 
@@ -277,14 +269,6 @@ func (cb *CommandBuffer) CmdCopyBuffer(src, dst *Buffer, regions ...BufferCopy) 
 		total += r.Size
 	}
 	return cb.record(command{kind: cmdCopyBuffer, copySrc: src, copyDst: dst, copyBytes: total})
-}
-
-// CmdFillBuffer records a fill of the whole buffer with a 32-bit pattern.
-func (cb *CommandBuffer) CmdFillBuffer(dst *Buffer, value uint32) error {
-	if dst == nil {
-		return fmt.Errorf("%w: CmdFillBuffer with nil buffer", ErrValidation)
-	}
-	return cb.record(command{kind: cmdFillBuffer, fillDst: dst, fillValue: value})
 }
 
 func minInt64(a, b int64) int64 {

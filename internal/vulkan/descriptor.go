@@ -2,7 +2,6 @@ package vulkan
 
 import (
 	"fmt"
-	"time"
 
 	"vcomputebench/internal/hw"
 )
@@ -63,13 +62,13 @@ func (d *Device) CreateDescriptorSetLayout(info DescriptorSetLayoutCreateInfo) (
 		}
 		l.bindings[b.Binding] = b
 	}
-	d.host.Spend("vkCreateDescriptorSetLayout", hostCallOverhead)
+	d.tl.Spend(hostCall)
 	return l, nil
 }
 
 // Destroy destroys the layout.
 func (l *DescriptorSetLayout) Destroy() {
-	l.device.host.Spend("vkDestroyDescriptorSetLayout", hostCallOverhead)
+	l.device.tl.Spend(hostCall)
 }
 
 // DescriptorPoolSize declares capacity for one descriptor type.
@@ -107,13 +106,13 @@ func (d *Device) CreateDescriptorPool(info DescriptorPoolCreateInfo) (*Descripto
 	for _, ps := range info.PoolSizes {
 		p.capacity[ps.Type] += ps.Count
 	}
-	d.host.Spend("vkCreateDescriptorPool", hostCallOverhead)
+	d.tl.Spend(hostCall)
 	return p, nil
 }
 
 // Destroy destroys the pool and implicitly frees its sets.
 func (p *DescriptorPool) Destroy() {
-	p.device.host.Spend("vkDestroyDescriptorPool", hostCallOverhead)
+	p.device.tl.Spend(hostCall)
 	p.allocated = 0
 	p.used = make(map[DescriptorType]int)
 }
@@ -151,7 +150,7 @@ func (p *DescriptorPool) AllocateDescriptorSets(layouts ...*DescriptorSetLayout)
 		p.used[t] += n
 	}
 	p.allocated += len(layouts)
-	p.device.host.Spend("vkAllocateDescriptorSets", hostCallOverhead*2)
+	p.device.tl.Spend(hw.FixedCost(hostCallOverhead * 2))
 	return sets, nil
 }
 
@@ -195,7 +194,6 @@ func (d *Device) UpdateDescriptorSets(writes ...WriteDescriptorSet) error {
 		}
 		w.DstSet.buffers[w.DstBinding] = w.BufferInfo.Buffer
 	}
-	d.rec.NextSpend(hw.KnobCostN(hw.KnobDescriptorUpdate, len(writes)))
-	d.host.Spend("vkUpdateDescriptorSets", time.Duration(len(writes))*d.driver.DescriptorUpdateOverhead)
+	d.tl.Spend(hw.KnobCostN(hw.KnobDescriptorUpdate, len(writes)))
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/kernels"
-	"vcomputebench/internal/sim"
 )
 
 // DeviceQueueCreateInfo requests queues from one family at device creation.
@@ -24,9 +23,8 @@ type DeviceCreateInfo struct {
 type Device struct {
 	physical  *PhysicalDevice
 	hw        *hw.Device
-	host      *sim.Host
+	tl        *hw.Timeline
 	driver    hw.DriverProfile
-	rec       *hw.Recorder
 	queues    map[int][]*Queue
 	validate  bool
 	destroyed bool
@@ -34,19 +32,14 @@ type Device struct {
 
 // CreateDevice creates a logical device and acquires the requested queues.
 func (pd *PhysicalDevice) CreateDevice(info DeviceCreateInfo) (*Device, error) {
-	drv, err := pd.hw.Driver(hw.APIVulkan)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrIncompatibleDriver, err)
-	}
 	if len(info.QueueCreateInfos) == 0 {
 		return nil, fmt.Errorf("%w: device created with no queues", ErrValidation)
 	}
 	d := &Device{
 		physical: pd,
 		hw:       pd.hw,
-		host:     pd.instance.host,
-		driver:   drv,
-		rec:      pd.hw.Recorder(),
+		tl:       pd.hw.Timeline(),
+		driver:   pd.hw.Driver(),
 		queues:   make(map[int][]*Queue),
 		validate: pd.instance.ValidationEnabled(),
 	}
@@ -73,12 +66,9 @@ func (pd *PhysicalDevice) CreateDevice(info DeviceCreateInfo) (*Device, error) {
 			})
 		}
 	}
-	d.host.Spend("vkCreateDevice", 60*hostCallOverhead)
+	d.tl.Spend(hw.FixedCost(60 * hostCallOverhead))
 	return d, nil
 }
-
-// Host returns the simulated host the device's application runs on.
-func (d *Device) Host() *sim.Host { return d.host }
 
 // HW returns the underlying simulated GPU.
 func (d *Device) HW() *hw.Device { return d.hw }
@@ -92,7 +82,7 @@ func (d *Device) Driver() hw.DriverProfile { return d.driver }
 // GetQueue returns queue index of the given family, as acquired at device
 // creation.
 func (d *Device) GetQueue(family, index int) (*Queue, error) {
-	d.host.Spend("vkGetDeviceQueue", hostCallOverhead)
+	d.tl.Spend(hostCall)
 	qs := d.queues[family]
 	if index < 0 || index >= len(qs) {
 		return nil, fmt.Errorf("%w: queue %d of family %d was not created", ErrValidation, index, family)
@@ -103,18 +93,7 @@ func (d *Device) GetQueue(family, index int) (*Queue, error) {
 // Destroy destroys the logical device.
 func (d *Device) Destroy() {
 	d.destroyed = true
-	d.host.Spend("vkDestroyDevice", hostCallOverhead)
-}
-
-// WaitIdle blocks until every queue of the device has drained.
-func (d *Device) WaitIdle() {
-	d.host.Spend("vkDeviceWaitIdle", hostCallOverhead)
-	for _, qs := range d.queues {
-		for _, q := range qs {
-			d.rec.WaitQueue(q.hw.Slot())
-			d.host.WaitUntil(q.hw.AvailableAt())
-		}
-	}
+	d.tl.Spend(hostCall)
 }
 
 // BufferUsageFlags is a bitmask of buffer usages.
@@ -151,7 +130,7 @@ func (d *Device) CreateBuffer(info BufferCreateInfo) (*Buffer, error) {
 	if info.Usage == 0 {
 		return nil, fmt.Errorf("%w: buffer usage must not be empty", ErrValidation)
 	}
-	d.host.Spend("vkCreateBuffer", hostCallOverhead)
+	d.tl.Spend(hostCall)
 	return &Buffer{device: d, size: info.Size, usage: info.Usage}, nil
 }
 
@@ -163,7 +142,7 @@ func (b *Buffer) Bound() bool { return b.memory != nil }
 
 // Destroy destroys the buffer object (not its memory).
 func (b *Buffer) Destroy() {
-	b.device.host.Spend("vkDestroyBuffer", hostCallOverhead)
+	b.device.tl.Spend(hostCall)
 	b.memory = nil
 }
 
@@ -178,7 +157,7 @@ type MemoryRequirements struct {
 // GetBufferMemoryRequirements returns the buffer's memory requirements. All
 // memory types support storage buffers on the simulated devices.
 func (d *Device) GetBufferMemoryRequirements(b *Buffer) MemoryRequirements {
-	d.host.Spend("vkGetBufferMemoryRequirements", hostCallOverhead)
+	d.tl.Spend(hostCall)
 	size := b.size
 	if rem := size % 4; rem != 0 {
 		size += 4 - rem
@@ -213,8 +192,7 @@ func (d *Device) AllocateMemory(info MemoryAllocateInfo) (*DeviceMemory, error) 
 	} else if info.MemoryTypeIndex != 0 {
 		return nil, fmt.Errorf("%w: unknown memory type index %d", ErrValidation, info.MemoryTypeIndex)
 	}
-	d.rec.NextSpend(hw.KnobCost(hw.KnobAlloc))
-	d.host.Spend("vkAllocateMemory", d.driver.AllocOverhead)
+	d.tl.Spend(hw.KnobCost(hw.KnobAlloc))
 	alloc, err := d.hw.Memory().Allocate(heap, info.AllocationSize)
 	if err != nil {
 		if heap == hw.HeapDeviceLocal {
@@ -230,13 +208,13 @@ func (m *DeviceMemory) Size() int64 { return m.size }
 
 // Free releases the allocation.
 func (m *DeviceMemory) Free() error {
-	m.device.host.Spend("vkFreeMemory", hostCallOverhead)
+	m.device.tl.Spend(hostCall)
 	return m.device.hw.Memory().Free(m.alloc)
 }
 
 // BindBufferMemory binds memory to the buffer at the given byte offset.
 func (d *Device) BindBufferMemory(b *Buffer, m *DeviceMemory, offset int64) error {
-	d.host.Spend("vkBindBufferMemory", hostCallOverhead)
+	d.tl.Spend(hostCall)
 	if b.memory != nil {
 		return fmt.Errorf("%w: buffer already has memory bound", ErrValidation)
 	}
@@ -256,7 +234,7 @@ func (d *Device) BindBufferMemory(b *Buffer, m *DeviceMemory, offset int64) erro
 // Mapping device-local memory on a discrete GPU fails, as it does in real
 // drivers that do not expose host-visible device-local types.
 func (m *DeviceMemory) Map(offset, size int64) (kernels.Words, error) {
-	m.device.host.Spend("vkMapMemory", hostCallOverhead)
+	m.device.tl.Spend(hostCall)
 	unified := m.device.hw.Profile().UnifiedMemory
 	if m.typeIndex == 0 && !unified {
 		return nil, fmt.Errorf("%w: memory type 0 is not host visible on %s",
@@ -275,7 +253,7 @@ func (m *DeviceMemory) Map(offset, size int64) (kernels.Words, error) {
 
 // Unmap unmaps the memory.
 func (m *DeviceMemory) Unmap() {
-	m.device.host.Spend("vkUnmapMemory", hostCallOverhead)
+	m.device.tl.Spend(hostCall)
 	m.mapped = false
 }
 

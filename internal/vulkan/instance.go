@@ -5,12 +5,14 @@ import (
 	"time"
 
 	"vcomputebench/internal/hw"
-	"vcomputebench/internal/sim"
 )
 
 // hostCallOverhead is the nominal host cost of a cheap API call (object
-// creation, queries). Expensive calls use the driver profile's figures.
+// creation, queries). Expensive calls use the driver profile's knobs.
 const hostCallOverhead = 200 * time.Nanosecond
+
+// hostCall is the timeline cost of a cheap API call.
+var hostCall = hw.FixedCost(hostCallOverhead)
 
 // LayerValidation is the name of the standard validation layer. Enabling it
 // adds host-side checking cost, modelling the "tooling layers ... present
@@ -27,34 +29,30 @@ type InstanceCreateInfo struct {
 // Instance is the loader state: it knows about the installed drivers
 // (physical devices) and the enabled layers.
 type Instance struct {
-	host            *sim.Host
+	tl              *hw.Timeline
 	info            InstanceCreateInfo
 	physicalDevices []*PhysicalDevice
 	destroyed       bool
 }
 
 // CreateInstance initialises the loader over the given simulated devices.
-// Devices whose platform does not ship a Vulkan driver are not enumerated,
-// matching the loader's behaviour of only exposing ICDs that are installed.
-func CreateInstance(host *sim.Host, info InstanceCreateInfo, devices ...*hw.Device) (*Instance, error) {
-	if host == nil {
-		return nil, fmt.Errorf("%w: nil host", ErrInitializationFailed)
-	}
-	inst := &Instance{host: host, info: info}
+// Only devices whose run goes through the Vulkan driver are enumerated,
+// matching the loader's behaviour of only exposing ICDs that are installed;
+// the host calls are timed on the first such device's timeline.
+func CreateInstance(info InstanceCreateInfo, devices ...*hw.Device) (*Instance, error) {
+	inst := &Instance{info: info}
 	for _, d := range devices {
-		if d == nil {
-			continue
-		}
-		if !d.Profile().Supports(hw.APIVulkan) {
+		if d == nil || d.API() != hw.APIVulkan {
 			continue
 		}
 		inst.physicalDevices = append(inst.physicalDevices, &PhysicalDevice{instance: inst, hw: d})
 	}
-	// The loader initialises enabled layers and the ICDs.
-	host.Spend("vkCreateInstance", 25*time.Microsecond+time.Duration(len(info.EnabledLayers))*5*time.Microsecond)
-	if len(devices) > 0 && len(inst.physicalDevices) == 0 {
+	if len(inst.physicalDevices) == 0 {
 		return nil, ErrIncompatibleDriver
 	}
+	inst.tl = inst.physicalDevices[0].hw.Timeline()
+	// The loader initialises enabled layers and the ICDs.
+	inst.tl.Spend(hw.FixedCost(25*time.Microsecond + time.Duration(len(info.EnabledLayers))*5*time.Microsecond))
 	return inst, nil
 }
 
@@ -74,7 +72,7 @@ func (i *Instance) EnumeratePhysicalDevices() ([]*PhysicalDevice, error) {
 	if i.destroyed {
 		return nil, fmt.Errorf("%w: instance destroyed", ErrValidation)
 	}
-	i.host.Spend("vkEnumeratePhysicalDevices", hostCallOverhead)
+	i.tl.Spend(hostCall)
 	if len(i.physicalDevices) == 0 {
 		return nil, ErrIncompatibleDriver
 	}
@@ -86,7 +84,7 @@ func (i *Instance) EnumeratePhysicalDevices() ([]*PhysicalDevice, error) {
 // Destroy releases the instance.
 func (i *Instance) Destroy() {
 	i.destroyed = true
-	i.host.Spend("vkDestroyInstance", hostCallOverhead)
+	i.tl.Spend(hostCall)
 }
 
 // PhysicalDeviceProperties reports device identity and limits, the subset of
@@ -174,9 +172,9 @@ type PhysicalDevice struct {
 
 // Properties returns the device properties.
 func (pd *PhysicalDevice) Properties() PhysicalDeviceProperties {
-	pd.instance.host.Spend("vkGetPhysicalDeviceProperties", hostCallOverhead)
+	pd.instance.tl.Spend(hostCall)
 	prof := pd.hw.Profile()
-	drv, _ := prof.Driver(hw.APIVulkan)
+	drv := pd.hw.Driver()
 	return PhysicalDeviceProperties{
 		DeviceName:        prof.Name,
 		VendorName:        prof.Vendor,
@@ -195,7 +193,7 @@ func (pd *PhysicalDevice) Properties() PhysicalDeviceProperties {
 // compute+transfer capable, family 1 is a dedicated transfer family, matching
 // the queue model of §III-B.
 func (pd *PhysicalDevice) QueueFamilyProperties() []QueueFamilyProperties {
-	pd.instance.host.Spend("vkGetPhysicalDeviceQueueFamilyProperties", hostCallOverhead)
+	pd.instance.tl.Spend(hostCall)
 	return []QueueFamilyProperties{
 		{Flags: QueueComputeBit | QueueTransferBit, QueueCount: pd.hw.QueueCount(hw.QueueCompute)},
 		{Flags: QueueTransferBit, QueueCount: pd.hw.QueueCount(hw.QueueTransfer)},
@@ -206,7 +204,7 @@ func (pd *PhysicalDevice) QueueFamilyProperties() []QueueFamilyProperties {
 // DEVICE_LOCAL, type 1 is HOST_VISIBLE|HOST_COHERENT; on unified-memory
 // devices type 0 additionally reports HOST_VISIBLE.
 func (pd *PhysicalDevice) MemoryProperties() PhysicalDeviceMemoryProperties {
-	pd.instance.host.Spend("vkGetPhysicalDeviceMemoryProperties", hostCallOverhead)
+	pd.instance.tl.Spend(hostCall)
 	prof := pd.hw.Profile()
 	deviceLocalProps := MemoryPropertyDeviceLocalBit
 	if prof.UnifiedMemory {

@@ -11,38 +11,35 @@ import (
 // Fence is a host-device synchronisation primitive signalled when a submission
 // completes.
 type Fence struct {
-	device     *Device
-	signalTime time.Duration
-	mark       int32
-	pending    bool
+	device  *Device
+	mark    int32
+	pending bool
 }
 
 // CreateFence creates an unsignalled fence.
 func (d *Device) CreateFence() *Fence {
-	d.host.Spend("vkCreateFence", hostCallOverhead)
+	d.tl.Spend(hostCall)
 	return &Fence{device: d, mark: -1}
 }
 
 // Destroy destroys the fence.
-func (f *Fence) Destroy() { f.device.host.Spend("vkDestroyFence", hostCallOverhead) }
+func (f *Fence) Destroy() { f.device.tl.Spend(hostCall) }
 
 // Wait blocks the host until the fence is signalled.
 func (f *Fence) Wait() error {
-	f.device.host.Spend("vkWaitForFences", hostCallOverhead)
+	f.device.tl.Spend(hostCall)
 	if !f.pending {
 		return fmt.Errorf("%w: waiting on a fence that was never submitted", ErrValidation)
 	}
-	f.device.rec.Wait(f.mark)
-	f.device.host.WaitUntil(f.signalTime)
-	f.device.rec.NextSpend(hw.KnobCost(hw.KnobSync))
-	f.device.host.Spend("sync-latency", f.device.driver.SyncLatency)
+	f.device.tl.Wait(f.mark)
+	f.device.tl.Spend(hw.KnobCost(hw.KnobSync))
 	f.pending = false
 	return nil
 }
 
 // Reset returns the fence to the unsignalled state.
 func (f *Fence) Reset() {
-	f.device.host.Spend("vkResetFences", hostCallOverhead)
+	f.device.tl.Spend(hostCall)
 	f.pending = false
 }
 
@@ -68,12 +65,13 @@ func (q *Queue) Index() int { return q.index }
 // lastSubmitStats captures per-submission bookkeeping used by tests and the
 // report layer.
 type SubmitStats struct {
-	Dispatches     int
-	Barriers       int
-	PipelineBinds  int
-	CopyBytes      int64
-	CompletionTime time.Duration
-	KernelTime     time.Duration
+	Dispatches    int
+	Barriers      int
+	PipelineBinds int
+	CopyBytes     int64
+	// KernelTime is the summed execution time of the submission's
+	// dispatches, a timeline reading.
+	KernelTime time.Duration
 }
 
 // Submit submits batches of command buffers for execution. Control returns to
@@ -81,9 +79,7 @@ type SubmitStats struct {
 // if provided, signals when the last command completes.
 func (q *Queue) Submit(batches []SubmitInfo, fence *Fence) (SubmitStats, error) {
 	d := q.device
-	d.rec.NextSpend(hw.KnobCost(hw.KnobSubmit))
-	d.host.Spend("vkQueueSubmit", d.driver.SubmitOverhead)
-	earliest := d.host.Now()
+	d.tl.Spend(hw.KnobCost(hw.KnobSubmit))
 
 	var stats SubmitStats
 	var dispatchRefs []int32
@@ -95,7 +91,7 @@ func (q *Queue) Submit(batches []SubmitInfo, fence *Fence) (SubmitStats, error) 
 			if cb.state != CommandBufferExecutable {
 				return stats, fmt.Errorf("%w: submitted command buffer is not in the executable state", ErrValidation)
 			}
-			s, refs, err := q.execute(cb, earliest)
+			s, refs, err := q.execute(cb)
 			if err != nil {
 				return stats, err
 			}
@@ -103,31 +99,28 @@ func (q *Queue) Submit(batches []SubmitInfo, fence *Fence) (SubmitStats, error) 
 			stats.Barriers += s.Barriers
 			stats.PipelineBinds += s.PipelineBinds
 			stats.CopyBytes += s.CopyBytes
-			stats.KernelTime += s.KernelTime
 			dispatchRefs = append(dispatchRefs, refs...)
 		}
 	}
 	// The submission's summed dispatch execution time is an observable
-	// benchmarks report (the bandwidth figures); record it so replay can
-	// rebind it.
-	if d.rec != nil && len(dispatchRefs) > 0 {
-		d.rec.ReadSpanSum(dispatchRefs, stats.KernelTime)
+	// benchmarks report (the bandwidth figures); reading it through the
+	// timeline lets replay rebind it.
+	if len(dispatchRefs) > 0 {
+		stats.KernelTime = d.tl.ReadSpanSum(dispatchRefs)
 	}
-	stats.CompletionTime = q.hw.AvailableAt()
 	if fence != nil {
-		fence.signalTime = stats.CompletionTime
-		fence.mark = d.rec.QueueMark(q.hw.Slot())
+		fence.mark = d.tl.QueueMark(q.hw.Slot())
 		fence.pending = true
 	}
 	return stats, nil
 }
 
-// execute replays a command buffer's commands on the hardware queue. It
-// returns, alongside the statistics, the trace refs of the dispatches it
-// scheduled (empty when not recording). The device-side overhead between
-// dispatches is accumulated as a symbolic hw.Cost — not a valued duration —
-// so a recorded trace can revalue it under a different driver profile.
-func (q *Queue) execute(cb *CommandBuffer, earliest time.Duration) (SubmitStats, []int32, error) {
+// execute runs a command buffer's commands on the hardware queue. It
+// returns, alongside the statistics, the timeline refs of the dispatches it
+// scheduled. The device-side overhead between dispatches is accumulated as a
+// symbolic hw.Cost — not a valued duration — so a recorded trace can revalue
+// it under a different driver profile.
+func (q *Queue) execute(cb *CommandBuffer) (SubmitStats, []int32, error) {
 	d := q.device
 	drv := d.driver
 	var stats SubmitStats
@@ -184,7 +177,7 @@ func (q *Queue) execute(cb *CommandBuffer, earliest time.Duration) (SubmitStats,
 				Buffers: buffers,
 				Push:    pushWords,
 			}
-			run, err := q.hw.ExecuteKernel(earliest, hw.APIVulkan, prog, cfg, pending)
+			ref, err := q.hw.ExecuteKernel(prog, cfg, pending)
 			if err != nil {
 				// Wrap the cause with %w too: fault classification (transient
 				// vs permanent) must survive the API-level error translation.
@@ -192,10 +185,7 @@ func (q *Queue) execute(cb *CommandBuffer, earliest time.Duration) (SubmitStats,
 			}
 			pending = hw.Cost{}
 			stats.Dispatches++
-			stats.KernelTime += run.Exec
-			if d.rec != nil {
-				refs = append(refs, d.rec.QueueMark(q.hw.Slot()))
-			}
+			refs = append(refs, ref)
 		case cmdCopyBuffer:
 			srcWords, err := c.copySrc.words()
 			if err != nil {
@@ -206,19 +196,10 @@ func (q *Queue) execute(cb *CommandBuffer, earliest time.Duration) (SubmitStats,
 				return stats, refs, err
 			}
 			copy(dstWords, srcWords[:minInt(len(srcWords), len(dstWords))])
-			q.hw.Occupy("barrier+copy-setup", earliest, pending, hw.APIVulkan)
+			q.hw.Occupy(pending)
 			pending = hw.Cost{}
-			q.hw.ExecuteTransfer(earliest, c.copyBytes)
+			q.hw.ExecuteTransfer(c.copyBytes)
 			stats.CopyBytes += c.copyBytes
-		case cmdFillBuffer:
-			dstWords, err := c.fillDst.words()
-			if err != nil {
-				return stats, refs, err
-			}
-			for j := range dstWords {
-				dstWords[j] = c.fillValue
-			}
-			q.hw.ExecuteTransfer(earliest, c.fillDst.size)
 		}
 	}
 	// Gate on the symbolic cost, not its valuation: the trailing occupation
@@ -226,7 +207,7 @@ func (q *Queue) execute(cb *CommandBuffer, earliest time.Duration) (SubmitStats,
 	// under a profile with different knob values schedules exactly what a
 	// fresh run would.
 	if !pending.IsZero() {
-		q.hw.Occupy("trailing-overhead", earliest, pending, hw.APIVulkan)
+		q.hw.Occupy(pending)
 	}
 	return stats, refs, nil
 }
@@ -251,13 +232,6 @@ func gatherBuffers(prog *kernels.Program, sets []*DescriptorSet) ([]kernels.Word
 		buffers[b] = w
 	}
 	return buffers, nil
-}
-
-// WaitIdle blocks the host until the queue drains.
-func (q *Queue) WaitIdle() {
-	q.device.host.Spend("vkQueueWaitIdle", hostCallOverhead)
-	q.device.rec.WaitQueue(q.hw.Slot())
-	q.device.host.WaitUntil(q.hw.AvailableAt())
 }
 
 func minInt(a, b int) int {
