@@ -13,8 +13,8 @@ vet:
 	$(GO) vet ./...
 
 # Static analysis gate: the standard `go vet` passes plus the repo's own
-# analyzers (embedsync, nondeterminism, faultwrap, countersync — see
-# internal/lint) through one driver. Exits non-zero on any finding.
+# analyzers (embedsync, nondeterminism, faultwrap — see internal/lint)
+# through one driver. Exits non-zero on any finding.
 lint:
 	$(GO) run ./cmd/vcbenchlint ./...
 

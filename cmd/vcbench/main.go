@@ -172,7 +172,7 @@ func main() {
 			fatal(err)
 		}
 	case *calibrateID != "":
-		if err := runCalibrate(*calibrateID, opts, *doSweep, *sweepPasses, !*useCache); err != nil {
+		if err := runCalibrate(*calibrateID, opts, *doSweep, *sweepPasses); err != nil {
 			fatal(err)
 		}
 	default:
@@ -495,7 +495,7 @@ func runCheck(id string, opts experiments.Options, baselinePath string, baseline
 // selected platform(s) and, with sweep, the deterministic driver-knob sweep's
 // proposed platform values. Any target outside its tolerance makes the
 // command exit 1 (after the full report), like -check.
-func runCalibrate(id string, opts experiments.Options, sweep bool, passes int, noCache bool) error {
+func runCalibrate(id string, opts experiments.Options, sweep bool, passes int) error {
 	var selected []*platforms.Platform
 	if id == "all" {
 		selected = platforms.All()
@@ -513,7 +513,6 @@ func runCalibrate(id string, opts experiments.Options, sweep bool, passes int, n
 				Experiments: opts,
 				Passes:      passes,
 				Progress:    os.Stderr,
-				NoCache:     noCache,
 			})
 			if err != nil {
 				return err

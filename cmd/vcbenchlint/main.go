@@ -1,9 +1,9 @@
 // Command vcbenchlint is the repo's multichecker: it runs the standard `go
 // vet` passes (nilness-adjacent checks, copylocks, printf, ...) and then the
-// four custom analyzers of internal/lint — embedsync, nondeterminism,
-// faultwrap, countersync — which enforce the determinism, fingerprint and
-// fault-taxonomy invariants at compile time. `make lint` and the CI lint job
-// are thin wrappers over this binary.
+// three custom analyzers of internal/lint — embedsync, nondeterminism,
+// faultwrap — which enforce the determinism, fingerprint and fault-taxonomy
+// invariants at compile time. `make lint` and the CI lint job are thin
+// wrappers over this binary.
 //
 // Usage:
 //
@@ -11,9 +11,9 @@
 //
 // The package patterns are forwarded to `go vet` verbatim (default ./...);
 // the custom analyzers always audit the whole module containing the working
-// directory, because their invariants (registration completeness, codec
-// field sync) are cross-package by nature. A DefaultConfig package pattern
-// that matches no package of the module is reported as a finding too.
+// directory, because their invariants (registration completeness) are
+// cross-package by nature. A DefaultConfig package pattern that matches no
+// package of the module is reported as a finding too.
 package main
 
 import (

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"vcomputebench/internal/core"
 	"vcomputebench/internal/experiments"
 	"vcomputebench/internal/hw"
 	"vcomputebench/internal/platforms"
@@ -16,6 +15,8 @@ import (
 type Options struct {
 	// Experiments are the run options (repetitions, seed, parallelism) every
 	// evaluation uses; identical options make the whole sweep deterministic.
+	// Its Cache is used as given: with a store, the first evaluation executes
+	// and every later one replays; with none, every evaluation executes.
 	Experiments experiments.Options
 	// Passes bounds the coordinate-descent passes over the knob set
 	// (default 1). The sweep also stops early when a pass improves nothing.
@@ -25,12 +26,6 @@ type Options struct {
 	// Progress, when non-nil, receives one line per evaluation so the
 	// long-running sweep is observable.
 	Progress io.Writer
-	// NoCache forces every evaluation to execute the full figure suite
-	// instead of replaying the first execution's snapshots (the user's
-	// explicit `-cache=false` opt-out, e.g. to cross-check replay itself).
-	// By default the sweep creates a shared snapshot cache when
-	// Experiments.Cache is nil.
-	NoCache bool
 
 	// evaluate overrides the measurement for tests (nil = Measure).
 	evaluate func(*platforms.Platform) (*Report, error)
@@ -109,12 +104,13 @@ func (r *SweepResult) String() string {
 // is kept. The canonical platform is never mutated; the winner is returned as
 // a clone with the proposed values applied.
 //
-// Every evaluation shares one snapshot cache, and the swept knobs are exactly
-// the timing-only fields the cache's execution fingerprint ignores: the first
-// (baseline) evaluation executes the platform's figure suite once, and every
-// candidate profile afterwards is scored by replaying those snapshots
-// analytically. A sweep of E evaluations therefore costs one full execution
-// plus E cheap replays instead of E executions.
+// Every evaluation shares the snapshot store in opts.Experiments.Cache, and
+// the swept knobs are exactly the timing-only fields the store's execution
+// fingerprint ignores: the first (baseline) evaluation executes the
+// platform's figure suite once, and every candidate profile afterwards is
+// scored by replaying those snapshots analytically. A sweep of E
+// evaluations therefore costs one full execution plus E cheap replays
+// instead of E executions.
 func Sweep(p *platforms.Platform, opts Options) (*SweepResult, error) {
 	passes := opts.Passes
 	if passes <= 0 {
@@ -122,9 +118,6 @@ func Sweep(p *platforms.Platform, opts Options) (*SweepResult, error) {
 	}
 	eval := opts.evaluate
 	if eval == nil {
-		if opts.Experiments.Cache == nil && !opts.NoCache {
-			opts.Experiments.Cache = core.NewSnapshotCache(0)
-		}
 		eval = func(cand *platforms.Platform) (*Report, error) {
 			return Measure(cand, opts.Experiments)
 		}

@@ -49,12 +49,7 @@ func BenchmarkSweepUncached(b *testing.B) {
 	exOpts := experiments.Options{Repetitions: 1, Seed: 42}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := Sweep(p, Options{
-			Experiments: exOpts,
-			evaluate: func(cand *platforms.Platform) (*Report, error) {
-				return Measure(cand, exOpts)
-			},
-		})
+		_, err := Sweep(p, Options{Experiments: exOpts})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -86,15 +86,8 @@ func TestSweepReplayMatchesUncachedSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	uncached, err := Sweep(p, Options{
-		Experiments: exOpts,
-		Knobs:       sweepTestKnobs(),
-		// Bypass the cache Sweep would otherwise create: every evaluation
-		// runs the full figure suite.
-		evaluate: func(cand *platforms.Platform) (*Report, error) {
-			return Measure(cand, exOpts)
-		},
-	})
+	// No store: every evaluation runs the full figure suite.
+	uncached, err := Sweep(p, Options{Experiments: exOpts, Knobs: sweepTestKnobs()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,6 @@ type Snapshot struct {
 
 	benchmark string
 	workload  string
-	api       hw.API
 	reps      int
 
 	kernelReading int
@@ -78,7 +77,6 @@ func newSnapshot(p *platforms.Platform, b Benchmark, api hw.API, w Workload,
 		fingerprint:   p.Profile.ExecutionFingerprint(),
 		benchmark:     b.Name(),
 		workload:      w.Label,
-		api:           api,
 		reps:          reps,
 		kernelReading: kIdx,
 		totalReading:  tIdx,
@@ -184,7 +182,7 @@ func bindHostMarkReading(tr *hw.Trace, want time.Duration) (int, bool) {
 func (s *Snapshot) Replay(p *platforms.Platform) (*Result, error) {
 	if fp := p.Profile.ExecutionFingerprint(); fp != s.fingerprint {
 		return nil, fmt.Errorf("core: snapshot of %s/%s was recorded under a different execution fingerprint\n  have %s\n  want %s",
-			s.benchmark, s.api, fp, s.fingerprint)
+			s.benchmark, s.trace.API, fp, s.fingerprint)
 	}
 	rp, err := s.trace.Replay(&p.Profile)
 	if err != nil {
@@ -218,7 +216,7 @@ func (s *Snapshot) Replay(p *platforms.Platform) (*Result, error) {
 	}
 	res := &Result{
 		Benchmark:   s.benchmark,
-		API:         s.api,
+		API:         s.trace.API,
 		Platform:    p.ID,
 		Workload:    s.workload,
 		KernelTime:  kernelStats.Mean,

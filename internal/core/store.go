@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -39,7 +38,6 @@ var storeEntryMagic = [4]byte{'V', 'C', 'S', 'E'}
 const (
 	snapExt     = ".snap"
 	tmpExt      = ".tmp"
-	indexName   = "index.json"
 	dirFileMode = 0o755
 )
 
@@ -59,16 +57,6 @@ type DiskStore struct {
 	droppedPuts    atomic.Uint64
 }
 
-// storeIndex is the metadata file written at the store root, recording which
-// versions the writing build spoke. It is informational (content addressing
-// alone keeps lookups sound); GC and humans read it.
-type storeIndex struct {
-	CodeVersion          string `json:"code_version"`
-	StoreEntryVersion    int    `json:"store_entry_version"`
-	SnapshotCodecVersion int    `json:"snapshot_codec_version"`
-	TraceCodecVersion    int    `json:"trace_codec_version"`
-}
-
 // OpenDiskStore opens (creating if needed) a snapshot store rooted at dir.
 // codeVersion is the build's code-version fingerprint
 // (internal/codeversion.Fingerprint()); it is folded into every entry address
@@ -85,30 +73,11 @@ func OpenDiskStore(dir, codeVersion string, reg *kernels.Registry) (*DiskStore, 
 	if err := os.MkdirAll(dir, dirFileMode); err != nil {
 		return nil, fmt.Errorf("core: creating snapshot store: %w", err)
 	}
-	s := &DiskStore{dir: dir, codeVersion: codeVersion, reg: reg}
-	s.writeIndex() // best-effort; the store works without it
-	return s, nil
+	return &DiskStore{dir: dir, codeVersion: codeVersion, reg: reg}, nil
 }
 
 // Dir returns the store's root directory.
 func (s *DiskStore) Dir() string { return s.dir }
-
-func (s *DiskStore) writeIndex() {
-	idx := storeIndex{
-		CodeVersion:          s.codeVersion,
-		StoreEntryVersion:    StoreEntryVersion,
-		SnapshotCodecVersion: SnapshotCodecVersion,
-		TraceCodecVersion:    hw.TraceCodecVersion,
-	}
-	data, err := json.MarshalIndent(idx, "", "  ")
-	if err != nil {
-		return
-	}
-	tmp := filepath.Join(s.dir, indexName+tmpExt)
-	if os.WriteFile(tmp, append(data, '\n'), 0o644) == nil {
-		_ = os.Rename(tmp, filepath.Join(s.dir, indexName))
-	}
-}
 
 // entryPath is the content address of a key under this build: a digest over
 // the code-version fingerprint and every key field, so any difference in
@@ -350,7 +319,7 @@ func (s *DiskStore) GC() (removed int, reclaimed int64, err error) {
 				continue // live entry
 			}
 		default:
-			continue // index.json and anything else
+			continue // not ours
 		}
 		info, ierr := e.Info()
 		if rmErr := os.Remove(path); rmErr == nil {

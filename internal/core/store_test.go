@@ -7,122 +7,14 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"vcomputebench/internal/hw"
-	"vcomputebench/internal/kernels"
 )
-
-// storeTestRegistry returns a fresh registry with the programs the synthetic
-// snapshots below reference (the disk store re-binds programs from it at
-// decode time).
-func storeTestRegistry(t *testing.T) *kernels.Registry {
-	t.Helper()
-	reg := kernels.NewRegistry()
-	if err := reg.Register(&kernels.Program{
-		Name:      "store_test_kernel",
-		LocalSize: kernels.Dim3{X: 64, Y: 1, Z: 1},
-		Bindings:  2,
-		Fn:        func(wg *kernels.Workgroup) {},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return reg
-}
-
-// storeTestSnapshot builds a fully-populated snapshot around a synthetic
-// trace, the way runner.executeAttempt would from a real execution.
-func storeTestSnapshot(t *testing.T, reg *kernels.Registry) *Snapshot {
-	t.Helper()
-	prog, err := reg.Lookup("store_test_kernel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := &hw.Trace{
-		API: hw.APIVulkan,
-		Events: []hw.TraceEvent{
-			{Kind: hw.EvMark},
-			{Kind: hw.EvKernel, Prog: prog, Counters: kernels.Counters{
-				Invocations: 256, Workgroups: 4, ALUOps: 1024,
-				GlobalLoadBytes: 4096, GlobalStoreBytes: 2048,
-			}, Cost: hw.KnobCost(hw.KnobKernelLaunch)},
-			{Kind: hw.EvMark},
-		},
-		Readings: []hw.Reading{
-			{Kind: hw.ReadMarkDiff, A: 0, B: 2, Value: 50 * time.Microsecond},
-			{Kind: hw.ReadHostMark, A: 2, Value: 60 * time.Microsecond},
-		},
-	}
-	return &Snapshot{
-		trace:           tr,
-		fingerprint:     "test-fingerprint",
-		benchmark:       "storetest",
-		workload:        "small",
-		api:             hw.APIVulkan,
-		reps:            3,
-		kernelReading:   0,
-		totalReading:    1,
-		dispatches:      4,
-		checksum:        123.5,
-		extras:          map[string]float64{"transfer_us": 12.5},
-		throughputBytes: map[string]float64{"kernel": 6144},
-	}
-}
 
 func storeTestKey(bench string) SnapshotKey {
 	return SnapshotKey{
 		Platform: "p", Fingerprint: "test-fingerprint", Benchmark: bench,
 		Workload: "small", API: hw.APIVulkan, Seed: 42, Reps: 3,
-	}
-}
-
-// TestSnapshotCodecRoundTrip pins that decode(encode(s)) reproduces the
-// snapshot exactly, including the nested trace with programs re-bound to the
-// registry.
-func TestSnapshotCodecRoundTrip(t *testing.T) {
-	reg := storeTestRegistry(t)
-	snap := storeTestSnapshot(t, reg)
-	data, err := EncodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Determinism: map iteration order must not leak into the bytes.
-	again, err := EncodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(data, again) {
-		t.Fatal("two encodings of the same snapshot differ")
-	}
-	got, err := DecodeSnapshot(data, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(snap, got) {
-		t.Fatalf("decoded snapshot differs:\n  want %+v\n  got  %+v", snap, got)
-	}
-	if got.trace.Events[1].Prog != snap.trace.Events[1].Prog {
-		t.Fatal("decoded program is not the registry entry")
-	}
-}
-
-// TestSnapshotCodecRejectsCorruption: every truncation errors, every byte
-// flip decodes or errors but never panics.
-func TestSnapshotCodecRejectsCorruption(t *testing.T) {
-	reg := storeTestRegistry(t)
-	data, err := EncodeSnapshot(storeTestSnapshot(t, reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < len(data); n++ {
-		if _, err := DecodeSnapshot(data[:n], reg); err == nil {
-			t.Fatalf("truncation to %d of %d bytes decoded without error", n, len(data))
-		}
-	}
-	for i := range data {
-		mut := append([]byte(nil), data...)
-		mut[i] ^= 0x5a
-		_, _ = DecodeSnapshot(mut, reg) // must not panic
 	}
 }
 
@@ -162,10 +54,6 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	}
 	if len(st.Tiers) != 1 || st.Tiers[0].Tier != "disk" || st.Tiers[0].Bytes <= 0 {
 		t.Fatalf("tier stats = %+v, want one disk tier with positive bytes", st.Tiers)
-	}
-	// The index file documents the writing build's versions.
-	if _, err := os.Stat(filepath.Join(dir, indexName)); err != nil {
-		t.Errorf("store index missing: %v", err)
 	}
 }
 
@@ -253,7 +141,7 @@ func TestDiskStoreDegradesCorruptionToMiss(t *testing.T) {
 }
 
 // TestDiskStoreGCSweepsDebris: orphaned temp files and undecodable entries go,
-// the index and live entries stay.
+// live entries and files that are not the store's stay.
 func TestDiskStoreGCSweepsDebris(t *testing.T) {
 	reg := storeTestRegistry(t)
 	dir := t.TempDir()
@@ -282,10 +170,8 @@ func TestDiskStoreGCSweepsDebris(t *testing.T) {
 	if _, ok := s.Get(key); !ok {
 		t.Fatal("GC removed a live entry")
 	}
-	for _, want := range []string{indexName, "unrelated.txt"} {
-		if _, err := os.Stat(filepath.Join(dir, want)); err != nil {
-			t.Errorf("GC removed %s: %v", want, err)
-		}
+	if _, err := os.Stat(filepath.Join(dir, "unrelated.txt")); err != nil {
+		t.Errorf("GC removed unrelated.txt: %v", err)
 	}
 }
 
@@ -453,4 +339,23 @@ func TestDiskStoreCrashedWriterRecovery(t *testing.T) {
 	if s2.Peek(k2) {
 		t.Fatal("Peek mistook a directory for an entry")
 	}
+}
+
+// FuzzDecodeEntry: no input crashes the store entry envelope decoder, nor
+// the snapshot decoder a valid envelope hands its stream to (as Get does).
+func FuzzDecodeEntry(f *testing.F) {
+	reg := storeTestRegistry(f)
+	blob, err := EncodeSnapshot(storeTestSnapshot(f, reg))
+	if err != nil {
+		f.Fatal(err)
+	}
+	s := &DiskStore{codeVersion: "codev1", reg: reg}
+	entry := s.encodeEntry(storeTestKey("storetest"), blob)
+	f.Add(entry)
+	corruptionSweep(entry, func(mut []byte, _ bool) { f.Add(mut) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, _, blob, err := decodeEntry(data); err == nil {
+			_, _ = DecodeSnapshot(blob, reg)
+		}
+	})
 }

@@ -51,7 +51,7 @@ func TestFieldClassification(t *testing.T) {
 
 // TestKnobFields pins the Knob enum to its DriverProfile fields: each Knob
 // reads exactly one timing duration, every timing duration is a Knob, and
-// the order (the trace codec's wire order) matches the enum's.
+// the order (the snapshot codec's wire order) matches the enum's.
 func TestKnobFields(t *testing.T) {
 	want := [knobCount]string{
 		KnobKernelLaunch:     "KernelLaunchOverhead",

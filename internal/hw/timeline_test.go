@@ -8,10 +8,31 @@ import (
 	"vcomputebench/internal/kernels"
 )
 
-// timelineTestDevice returns a Vulkan run's device on the codec test profile.
+// timelineTestProfile returns a profile able to run Vulkan timelines.
+func timelineTestProfile() *Profile {
+	return &Profile{
+		Name: "timeline-test", Class: ClassDesktop,
+		ComputeUnits: 8, ALUsPerCU: 64, CoreClockMHz: 1000, WarpSize: 32,
+		PeakBandwidthGBps: 100, CacheLineBytes: 64,
+		DeviceMemBytes: 1 << 30, HostVisibleMemBytes: 1 << 28,
+		TransferGBps:            8,
+		MaxWorkgroupInvocations: 1024,
+		DispatchLatency:         time.Microsecond, TransferLatency: time.Microsecond,
+		Drivers: map[API]DriverProfile{
+			APIVulkan: {
+				Supported:            true,
+				KernelLaunchOverhead: 10 * time.Microsecond, SyncLatency: 5 * time.Microsecond,
+				SubmitOverhead: 2 * time.Microsecond, CompilerEfficiency: 0.9, MemoryEfficiency: 0.8,
+			},
+		},
+	}
+}
+
+// timelineTestDevice returns a Vulkan run's device on the timeline test
+// profile.
 func timelineTestDevice(t *testing.T) *Device {
 	t.Helper()
-	dev, err := NewDevice(*codecTestProfile(), APIVulkan)
+	dev, err := NewDevice(*timelineTestProfile(), APIVulkan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,5 +217,53 @@ func TestTimelineReplayMatchesLiveValues(t *testing.T) {
 	}
 	if _, err := rp.Reading(len(live)); err == nil {
 		t.Fatal("reading past the end did not fail")
+	}
+}
+
+// TestTraceValidate: a well-formed trace validates and replays; each kind of
+// malformation a stored trace could carry is rejected before Replay can
+// index out of range or dereference a missing program.
+func TestTraceValidate(t *testing.T) {
+	prog := &kernels.Program{Name: "k", LocalSize: kernels.Dim3{X: 64, Y: 1, Z: 1}, Fn: func(*kernels.Workgroup) {}}
+	valid := func() *Trace {
+		return &Trace{
+			API: APIVulkan,
+			Events: []TraceEvent{
+				{Kind: EvMark},
+				{Kind: EvKernel, Queue: 1, Prog: prog, Counters: kernels.Counters{Invocations: 64, Workgroups: 1}},
+				{Kind: EvWait, Ref: 1},
+				{Kind: EvMark},
+			},
+			Readings: []Reading{
+				{Kind: ReadHostMark, A: 3},
+				{Kind: ReadMarkDiff, A: 0, B: 3},
+				{Kind: ReadSpanSum, Refs: []int32{1}},
+				{Kind: ReadEndDiff, A: -1, B: 1},
+			},
+		}
+	}
+	if err := valid().Validate(); err != nil {
+		t.Fatalf("well-formed trace rejected: %v", err)
+	}
+	if _, err := valid().Replay(timelineTestProfile()); err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(*Trace){
+		"event kind":    func(tr *Trace) { tr.Events[0].Kind = EvMark + 1 },
+		"queue slot":    func(tr *Trace) { tr.Events[1].Queue = maxQueueSlots },
+		"nil program":   func(tr *Trace) { tr.Events[1].Prog = nil },
+		"wait ref":      func(tr *Trace) { tr.Events[2].Ref = 4 },
+		"negative wait": func(tr *Trace) { tr.Events[2].Ref = -2 },
+		"reading kind":  func(tr *Trace) { tr.Readings[0].Kind = ReadEndDiff + 1 },
+		"host mark ref": func(tr *Trace) { tr.Readings[0].A = -1 },
+		"mark diff ref": func(tr *Trace) { tr.Readings[1].B = 4 },
+		"span sum ref":  func(tr *Trace) { tr.Readings[2].Refs = []int32{1, 9} },
+		"end diff ref":  func(tr *Trace) { tr.Readings[3].A = -2 },
+	} {
+		tr := valid()
+		mutate(tr)
+		if err := tr.Validate(); err == nil {
+			t.Errorf("%s: malformed trace validated", name)
+		}
 	}
 }

@@ -39,7 +39,7 @@ import (
 type Knob uint8
 
 // The DriverProfile duration knobs: its timing durations, in declaration
-// order (knobFields). The order is the trace codec's wire order.
+// order (knobFields). The order is the snapshot codec's wire order.
 const (
 	KnobKernelLaunch     Knob = iota // KernelLaunchOverhead
 	KnobSync                         // SyncLatency
@@ -403,6 +403,71 @@ type Trace struct {
 func (t *Trace) AddSpanSumReading(refs []int32, v time.Duration) int {
 	t.Readings = append(t.Readings, Reading{Kind: ReadSpanSum, Refs: refs, Value: v})
 	return len(t.Readings) - 1
+}
+
+// Validate reports whether the trace is safe to replay: every event and
+// reading kind is known, queue slots are within bound, kernel events carry a
+// program, and every event a wait or a reading refers to exists. A recorded
+// trace always passes; a decoder of stored bytes calls it so a corrupt or
+// hostile trace fails with an error instead of crashing Replay.
+func (t *Trace) Validate() error {
+	n := len(t.Events)
+	for i := range t.Events {
+		ev := &t.Events[i]
+		switch {
+		case ev.Kind > EvMark:
+			return fmt.Errorf("hw: event %d has unknown kind %d", i, ev.Kind)
+		case ev.Queue >= maxQueueSlots:
+			return fmt.Errorf("hw: event %d uses queue %d beyond the %d-slot bound", i, ev.Queue, maxQueueSlots)
+		case ev.Kind == EvKernel && ev.Prog == nil:
+			return fmt.Errorf("hw: kernel event %d has no program", i)
+		case ev.Kind == EvWait && (ev.Ref < -1 || int(ev.Ref) >= n):
+			return fmt.Errorf("hw: wait event %d references event %d of %d", i, ev.Ref, n)
+		}
+	}
+	for i := range t.Readings {
+		r := &t.Readings[i]
+		if r.Kind > ReadEndDiff {
+			return fmt.Errorf("hw: reading %d has unknown kind %d", i, r.Kind)
+		}
+		if err := validateReadingRefs(r, n); err != nil {
+			return fmt.Errorf("hw: reading %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// validateReadingRefs bounds-checks a reading's event references so Replay
+// cannot index out of range. ReadEndDiff allows -1 (time zero, an empty queue
+// at record time); the other kinds require real events.
+func validateReadingRefs(r *Reading, nEvents int) error {
+	inRange := func(ref int32, allowNeg bool) bool {
+		if ref == -1 && allowNeg {
+			return true
+		}
+		return ref >= 0 && int(ref) < nEvents
+	}
+	switch r.Kind {
+	case ReadHostMark:
+		if !inRange(r.A, false) {
+			return fmt.Errorf("host mark references event %d of %d", r.A, nEvents)
+		}
+	case ReadMarkDiff:
+		if !inRange(r.A, false) || !inRange(r.B, false) {
+			return fmt.Errorf("mark diff references events %d,%d of %d", r.A, r.B, nEvents)
+		}
+	case ReadEndDiff:
+		if !inRange(r.A, true) || !inRange(r.B, true) {
+			return fmt.Errorf("end diff references events %d,%d of %d", r.A, r.B, nEvents)
+		}
+	case ReadSpanSum:
+		for _, ref := range r.Refs {
+			if !inRange(ref, false) {
+				return fmt.Errorf("span sum references event %d of %d", ref, nEvents)
+			}
+		}
+	}
+	return nil
 }
 
 // Replay steps a fresh timeline through the trace under the given profile

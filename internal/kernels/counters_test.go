@@ -98,3 +98,13 @@ func TestCoalescingEfficiencyBounds(t *testing.T) {
 		t.Fatalf("efficiency = %v, want clamp to 1", got)
 	}
 }
+
+// TestCounterFieldsInSync fails when a Counters field has a missing or
+// unknown counter tag: Add, Scale and the snapshot codec would all skip it.
+func TestCounterFieldsInSync(t *testing.T) {
+	for _, f := range kernels.CounterFields() {
+		if f.Kind == 0 {
+			t.Errorf("Counters.%s has no known counter tag; tag it extensive, max, sample or derived", f.Name)
+		}
+	}
+}

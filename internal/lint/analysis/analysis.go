@@ -39,7 +39,7 @@ type Package struct {
 	Fset *token.FileSet
 	// Files are the parsed non-test sources, with comments.
 	Files []*ast.File
-	// FileNames[i] is the base name of Files[i] ("codec.go").
+	// FileNames[i] is the base name of Files[i] ("trace.go").
 	FileNames []string
 	// Types and Info carry best-effort type information: module-internal
 	// imports are fully checked, imports outside the module resolve to empty
@@ -50,8 +50,8 @@ type Package struct {
 }
 
 // World is every package the driver loaded, plus module identity. Analyzers
-// that check cross-package contracts (registration lists, codec field sync)
-// consult it instead of importing anything themselves.
+// that check cross-package contracts (registration lists) consult it instead
+// of importing anything themselves.
 type World struct {
 	// ModulePath is the module prefix shared by every package ("vcomputebench").
 	// Empty in fixture worlds, where Package.Path is already relative.

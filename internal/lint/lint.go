@@ -1,6 +1,6 @@
 // Package lint is the vcbenchlint analyzer suite: compile-time enforcement of
 // the repo's determinism, fingerprint and fault-taxonomy invariants, which
-// until now were guarded only by runtime tests. Four analyzers over the
+// until now were guarded only by runtime tests. Three analyzers over the
 // minimal framework in internal/lint/analysis:
 //
 //   - embedsync: every execution-relevant package embeds its own sources
@@ -14,8 +14,6 @@
 //   - faultwrap: errors born at the ExecuteKernel/Occupy seam of the API
 //     layers must be re-wrapped with %w so errors.As fault classification
 //     (the Transient/Permanent retry taxonomy) survives translation.
-//   - countersync: the kernels.Counters field set, its Add/Scale methods and
-//     the internal/hw codec field lists stay in sync, at compile time.
 //
 // A finding is suppressed by a `//lint:allow(reason)` comment on the same
 // line or the line directly above; the reason is mandatory. The suite runs
@@ -66,18 +64,6 @@ type Config struct {
 	// FaultWrapPackages are the API layers whose ExecuteKernel/Occupy error
 	// paths must preserve fault classes with %w.
 	FaultWrapPackages []string
-
-	// Countersync: KernelsPath declares CountersType with Add/Scale; CodecPath
-	// holds the wire codec (CounterFieldsConst, appendCounters, readCounters).
-	KernelsPath        string
-	CodecPath          string
-	CountersType       string
-	CounterFieldsConst string
-	// DerivedCounterFields are recomputed before recording and excluded from
-	// both accumulation and the wire format. IntensiveCounterFields are
-	// accumulated but must never be scaled (ratios and per-group maxima).
-	DerivedCounterFields   []string
-	IntensiveCounterFields []string
 }
 
 // DefaultConfig is the invariant contract of this repository.
@@ -136,13 +122,6 @@ func DefaultConfig() Config {
 			"internal/opencl",
 			"internal/vulkan/...",
 		},
-
-		KernelsPath:            "internal/kernels",
-		CodecPath:              "internal/hw",
-		CountersType:           "Counters",
-		CounterFieldsConst:     "counterFields",
-		DerivedCounterFields:   []string{"SampleScale"},
-		IntensiveCounterFields: []string{"SharedBytesPerGroup", "SampledUsefulBytes", "SampledTransactionBytes"},
 	}
 }
 
@@ -152,7 +131,6 @@ func Analyzers(cfg Config) []*analysis.Analyzer {
 		EmbedSync(cfg),
 		NonDeterminism(cfg),
 		FaultWrap(cfg),
-		CounterSync(cfg),
 	}
 }
 

@@ -36,25 +36,6 @@ func TestFaultWrap(t *testing.T) {
 	linttest.Run(t, "testdata/faultwrap", lint.FaultWrap(cfg))
 }
 
-func counterCfg() lint.Config {
-	return lint.Config{
-		KernelsPath:            "kernels",
-		CodecPath:              "codec",
-		CountersType:           "Counters",
-		CounterFieldsConst:     "counterFields",
-		DerivedCounterFields:   []string{"Derived"},
-		IntensiveCounterFields: []string{"Max"},
-	}
-}
-
-func TestCounterSyncGood(t *testing.T) {
-	linttest.Run(t, "testdata/countersync/good", lint.CounterSync(counterCfg()))
-}
-
-func TestCounterSyncBad(t *testing.T) {
-	linttest.Run(t, "testdata/countersync/bad", lint.CounterSync(counterCfg()))
-}
-
 // TestStalePatterns: a pattern naming a package that no longer exists, or a
 // prefix with nothing under it, is reported for every scoped config list;
 // exact and prefix patterns that match stay quiet.
